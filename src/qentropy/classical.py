@@ -179,8 +179,10 @@ def work_half_sine(amplitude: float, duration: float) -> float:
     fourth-order Taylor branch for |T - pi| < 1e-3, whose leading value
     is ``amplitude**2 pi**2 / 8``.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
+    if not math.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
+    if not 0.0 < duration < math.inf:
+        raise ValueError("duration must be positive and finite")
     eps = duration - math.pi
     if abs(eps) < SERIES_WINDOW:
         half_shifted = 0.5 - eps**2 / 24.0 + eps**4 / 720.0  # (1-cos eps)/eps**2

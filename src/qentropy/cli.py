@@ -33,6 +33,19 @@ from .majorization import (
 _FLOAT_FMT = ".12g"
 
 
+class _FiniteFloat(click.types.FloatParamType):
+    """A float option that rejects nan and inf."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return value
+
+
+FINITE = _FiniteFloat()
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, _FLOAT_FMT)
@@ -66,13 +79,16 @@ def _duration_grid(t_min: float, t_max: float, t_step: float) -> np.ndarray:
     return t_min + t_step * np.arange(count)
 
 
-def _policy_or_cap(m_trunc: int, tail_mass: float):
+def _truncation(m_trunc: int, tail_mass: float) -> quantum.TruncationPolicy:
     """m_trunc > 0 selects the fixed cut; 0 selects adaptive truncation."""
     if m_trunc < 0:
         raise click.BadParameter("--m-trunc must be >= 0")
     if m_trunc > 0:
-        return None, m_trunc
-    return quantum.TruncationPolicy(tail_mass=tail_mass), None
+        return quantum.TruncationPolicy(top=m_trunc)
+    try:
+        return quantum.TruncationPolicy(tail_mass=tail_mass)
+    except ValueError as exc:
+        raise click.BadParameter(f"--tail-mass: {exc}") from exc
 
 
 @click.group()
@@ -81,14 +97,14 @@ def main():
 
 
 @main.command("fig1")
-@click.option("--work", type=float, default=10.0, show_default=True,
+@click.option("--work", type=FINITE, default=10.0, show_default=True,
               help="Drive work parameter.")
 @click.option("--n-trunc", type=int, default=40, show_default=True,
               help="Largest initial level tabulated.")
 @click.option("--m-trunc", type=int, default=1000, show_default=True,
-              help="Fixed top level of the entropy sum (0 = adaptive).")
-@click.option("--tail-mass", type=float, default=1e-12, show_default=True,
-              help="Tail-mass target when --m-trunc is 0.")
+              help="Fixed top final level of every row (0 = adaptive).")
+@click.option("--tail-mass", type=FINITE, default=1e-12, show_default=True,
+              help="Mass a row may leave out when --m-trunc is 0.")
 @click.option("--output", type=click.Path(dir_okay=False, writable=True),
               default="fig1.csv", show_default=True)
 def fig1(work, n_trunc, m_trunc, tail_mass, output):
@@ -97,13 +113,11 @@ def fig1(work, n_trunc, m_trunc, tail_mass, output):
         raise click.BadParameter("--work must be non-negative")
     if n_trunc < 0:
         raise click.BadParameter("--n-trunc must be >= 0")
-    policy, m_cap = _policy_or_cap(m_trunc, tail_mass)
+    policy = _truncation(m_trunc, tail_mass)
     rows = []
     for level in range(n_trunc + 1):
         classical_entropy = math.log(max(level + 0.5, work))
-        stats = quantum.microcanonical_stats(
-            level, work, policy or quantum.DEFAULT_POLICY, m_cap
-        )
+        stats = quantum.microcanonical_stats(level, work, policy)
         rows.append((level, classical_entropy, stats.entropy))
     _write_csv(
         output, "fig1",
@@ -117,17 +131,17 @@ def fig1(work, n_trunc, m_trunc, tail_mass, output):
 
 
 @main.command("fig2")
-@click.option("--amplitude", type=float, default=6.0, show_default=True,
+@click.option("--amplitude", type=FINITE, default=6.0, show_default=True,
               help="Half-sine force amplitude.")
 @click.option("--level", type=int, default=2, show_default=True,
               help="Initial level of the microcanonical start.")
-@click.option("--t-min", type=float, default=0.25, show_default=True)
-@click.option("--t-max", type=float, default=30.0, show_default=True)
-@click.option("--t-step", type=float, default=0.25, show_default=True)
+@click.option("--t-min", type=FINITE, default=0.25, show_default=True)
+@click.option("--t-max", type=FINITE, default=30.0, show_default=True)
+@click.option("--t-step", type=FINITE, default=0.25, show_default=True)
 @click.option("--m-trunc", type=int, default=1000, show_default=True,
-              help="Fixed top level of the entropy sum (0 = adaptive).")
-@click.option("--tail-mass", type=float, default=1e-12, show_default=True,
-              help="Tail-mass target when --m-trunc is 0.")
+              help="Fixed top final level of every row (0 = adaptive).")
+@click.option("--tail-mass", type=FINITE, default=1e-12, show_default=True,
+              help="Mass a row may leave out when --m-trunc is 0.")
 @click.option("--output", type=click.Path(dir_okay=False, writable=True),
               default="fig2.csv", show_default=True)
 def fig2(amplitude, level, t_min, t_max, t_step, m_trunc, tail_mass, output):
@@ -135,15 +149,13 @@ def fig2(amplitude, level, t_min, t_max, t_step, m_trunc, tail_mass, output):
     if level < 0:
         raise click.BadParameter("--level must be >= 0")
     grid = _duration_grid(t_min, t_max, t_step)
-    policy, m_cap = _policy_or_cap(m_trunc, tail_mass)
+    policy = _truncation(m_trunc, tail_mass)
     start_volume = level + 0.5
     rows = []
     for duration in grid:
         work = classical.work_half_sine(amplitude, float(duration))
         classical_delta = math.log(max(start_volume, work)) - math.log(start_volume)
-        stats = quantum.microcanonical_stats(
-            level, work, policy or quantum.DEFAULT_POLICY, m_cap
-        )
+        stats = quantum.microcanonical_stats(level, work, policy)
         quantum_delta = stats.entropy - math.log(start_volume)
         rows.append((float(duration), work, classical_delta, quantum_delta))
     _write_csv(
@@ -159,19 +171,19 @@ def fig2(amplitude, level, t_min, t_max, t_step, m_trunc, tail_mass, output):
 
 
 @main.command("fig3")
-@click.option("--amplitude", type=float, default=6.0, show_default=True,
+@click.option("--amplitude", type=FINITE, default=6.0, show_default=True,
               help="Half-sine force amplitude.")
-@click.option("--beta", type=float, default=2.0, show_default=True,
+@click.option("--beta", type=FINITE, default=2.0, show_default=True,
               help="Inverse temperature of the initial thermal ensemble.")
 @click.option("--n-trunc", type=int, default=100, show_default=True,
               help="Top level of the thermal sum.")
-@click.option("--t-min", type=float, default=0.25, show_default=True)
-@click.option("--t-max", type=float, default=30.0, show_default=True)
-@click.option("--t-step", type=float, default=0.25, show_default=True)
+@click.option("--t-min", type=FINITE, default=0.25, show_default=True)
+@click.option("--t-max", type=FINITE, default=30.0, show_default=True)
+@click.option("--t-step", type=FINITE, default=0.25, show_default=True)
 @click.option("--m-trunc", type=int, default=1000, show_default=True,
-              help="Fixed top level of each entropy sum (0 = adaptive).")
-@click.option("--tail-mass", type=float, default=1e-12, show_default=True,
-              help="Tail-mass target when --m-trunc is 0.")
+              help="Fixed top final level of every row (0 = adaptive).")
+@click.option("--tail-mass", type=FINITE, default=1e-12, show_default=True,
+              help="Mass a row may leave out when --m-trunc is 0.")
 @click.option("--output", type=click.Path(dir_okay=False, writable=True),
               default="fig3.csv", show_default=True)
 def fig3(amplitude, beta, n_trunc, t_min, t_max, t_step, m_trunc, tail_mass,
@@ -182,16 +194,14 @@ def fig3(amplitude, beta, n_trunc, t_min, t_max, t_step, m_trunc, tail_mass,
     if n_trunc < 1:
         raise click.BadParameter("--n-trunc must be >= 1")
     grid = _duration_grid(t_min, t_max, t_step)
-    policy, m_cap = _policy_or_cap(m_trunc, tail_mass)
+    policy = _truncation(m_trunc, tail_mass)
     rows = []
     max_work = 0.0
     for duration in grid:
         work = classical.work_half_sine(amplitude, float(duration))
         max_work = max(max_work, work)
         classical_delta = classical.canonical_entropy_change(beta, work)
-        quantum_delta = quantum.canonical_entropy_change(
-            beta, work, n_trunc, policy or quantum.DEFAULT_POLICY, m_cap
-        )
+        quantum_delta = quantum.canonical_entropy_change(beta, work, n_trunc, policy)
         rows.append((float(duration), work, classical_delta, quantum_delta))
     tail = quantum.canonical_tail_bound(beta, max_work, n_trunc)
     _write_csv(

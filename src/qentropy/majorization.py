@@ -93,7 +93,6 @@ class TransitionMatrix:
     """Doubly stochastic matrix of inter-level transition probabilities."""
 
     entries: np.ndarray
-    tolerance: float
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries))
@@ -197,7 +196,7 @@ def check_doubly_stochastic(matrix, tol: float) -> TransitionMatrix:
         if row_dev.max() >= col_dev.max():
             raise DoublyStochasticError("row", int(row_dev.argmax()), float(row_dev.max()))
         raise DoublyStochasticError("column", int(col_dev.argmax()), float(col_dev.max()))
-    return TransitionMatrix(m, tol)
+    return TransitionMatrix(m)
 
 
 def random_unistochastic(dim: int, seed: int) -> TransitionMatrix:

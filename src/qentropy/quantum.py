@@ -14,20 +14,22 @@ with mean ``n + w`` and variance ``(2n + 1) w``.
 
 :func:`charlier_direct` evaluates the sum literally in exact rational
 arithmetic; its value overflows the float range beyond m, n of a few
-hundred.  The
-production path (:func:`transition_probability`, :func:`transition_row`)
-therefore accumulates the prefactor in the log domain and evaluates the
-polynomial through its three-term recurrence, rescaled whenever the
-magnitude leaves a safe window and with the sign carried separately.
-The recurrence is always run over the smaller of the two indices, which
-keeps it in the oscillatory/dominant regime where forward recursion is
-stable; values to m, n of a few thousand stay accurate in absolute
-terms.
+hundred.  Everything else rests on one sweep of the three-term
+recurrence in the degree, vectorised over the arguments ``m``, with the
+magnitude rescaled whenever it leaves a safe window and the prefactor
+accumulated in the log domain.  Each entry takes the smaller index as
+its degree, which keeps the recurrence in the oscillatory/dominant
+regime where forward recursion is stable; values to m, n of a few
+thousand stay accurate in absolute terms.  Step ``k`` of the sweep
+gives row ``k`` from the diagonal on, and through the exact symmetry
+``p(n -> m) = p(m -> n)`` the entries left of the diagonal of every
+later row.  A single row keeps only its own entries, so its working
+memory is one row; :func:`canonical_entropy_change` keeps the whole
+block of rows it sums over.
 
-Every sum over levels is truncated adaptively by a
-:class:`TruncationPolicy`; a fixed cut is also available for
-reproducing figure data whose source states an explicit truncation
-level.
+Every sum over levels is truncated by one :class:`TruncationPolicy`:
+adaptively by a tail-mass target, or at a fixed top level for figure
+data whose source states an explicit truncation.
 """
 
 from __future__ import annotations
@@ -50,16 +52,26 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Tail-mass target and hard cap governing all level sums."""
+    """Where every level sum stops.
+
+    By default a row is extended until its mass reaches
+    ``1 - tail_mass``; reaching ``hard_cap`` first raises
+    :class:`TruncationError`.  An integer ``top`` instead cuts every row
+    at level ``top``, leaving ``tail_mass`` and ``hard_cap`` unused, and
+    reports the captured mass as-is.
+    """
 
     tail_mass: float = 1e-12
     hard_cap: int = 5000
+    top: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.tail_mass < 1.0:
             raise ValueError("tail_mass must lie in (0, 1)")
         if self.hard_cap < 1:
             raise ValueError("hard_cap must be >= 1")
+        if self.top is not None and self.top < 0:
+            raise ValueError("top must be >= 0")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -114,14 +126,23 @@ def charlier_direct(m: int, n: int, work: float) -> float:
         ) from exc
 
 
-def _charlier_log_fixed_degree(degree: int, args: np.ndarray, work: float):
-    """sign and log|c_degree(args; work)| for an array of arguments."""
-    if degree == 0:
-        return np.ones_like(args), np.zeros_like(args)
-    c_prev = np.ones_like(args)
-    c = 1.0 - args / work
-    shift = np.zeros_like(args)
-    for k in range(1, degree):
+def _check_work(work: float) -> None:
+    if not 0.0 <= work < math.inf:
+        raise ValueError(f"work must be finite and non-negative, got {work!r}")
+
+
+def _charlier_sweep(args: np.ndarray, work: float, top_degree: int):
+    """Yield c_k(args; work) for k = 0..top_degree as (mantissa, log scale).
+
+    The value is ``mantissa * exp(log scale)``; both arrays are fresh at
+    every step, so callers may keep them.
+    """
+    c_prev, c, shift = np.ones_like(args), np.ones_like(args), np.zeros_like(args)
+    yield c, shift
+    if top_degree > 0:
+        c = 1.0 - args / work
+        yield c, shift
+    for k in range(1, top_degree):
         c_next = ((k + work - args) * c - k * c_prev) / work
         c_prev, c = c, c_next
         mag = np.maximum(np.abs(c), np.abs(c_prev))
@@ -131,30 +152,12 @@ def _charlier_log_fixed_degree(degree: int, args: np.ndarray, work: float):
             c = c / factor
             c_prev = c_prev / factor
             shift = shift + np.where(rescale, np.log(factor), 0.0)
+        yield c, shift
+
+
+def _log_abs(mantissa, shift):
     with np.errstate(divide="ignore"):
-        return np.sign(c), np.log(np.abs(c)) + shift
-
-
-def _charlier_log_degree_sweep(max_degree: int, arg: float, work: float):
-    """sign and log|c_k(arg; work)| collected for every k = 0..max_degree."""
-    signs = np.ones(max_degree + 1)
-    logs = np.zeros(max_degree + 1)
-    if max_degree == 0:
-        return signs, logs
-    c_prev, c, shift = 1.0, 1.0 - arg / work, 0.0
-    signs[1] = math.copysign(1.0, c) if c != 0.0 else 0.0
-    logs[1] = (math.log(abs(c)) if c != 0.0 else -math.inf) + shift
-    for k in range(1, max_degree):
-        c_next = ((k + work - arg) * c - k * c_prev) / work
-        c_prev, c = c, c_next
-        mag = max(abs(c), abs(c_prev))
-        if mag > _RESCALE_HI or 0.0 < mag < _RESCALE_LO:
-            c /= mag
-            c_prev /= mag
-            shift += math.log(mag)
-        signs[k + 1] = math.copysign(1.0, c) if c != 0.0 else 0.0
-        logs[k + 1] = (math.log(abs(c)) if c != 0.0 else -math.inf) + shift
-    return signs, logs
+        return np.log(np.abs(mantissa)) + shift
 
 
 def transition_probability(n: int, m: int, work: float) -> float:
@@ -167,12 +170,12 @@ def transition_probability(n: int, m: int, work: float) -> float:
     """
     if n < 0 or m < 0:
         raise ValueError("levels must be non-negative")
-    if work < 0.0:
-        raise ValueError("work must be non-negative")
+    _check_work(work)
     if work == 0.0:
         return 1.0 if n == m else 0.0
     degree, arg = min(n, m), max(n, m)
-    _, log_c = _charlier_log_fixed_degree(degree, np.array([float(arg)]), work)
+    for c, shift in _charlier_sweep(np.array([float(arg)]), work, degree):
+        pass
     # accumulate in (degree, arg) order so the result is bit-identical
     # under swapping n and m
     log_p = (
@@ -180,103 +183,94 @@ def transition_probability(n: int, m: int, work: float) -> float:
         + (degree + arg) * math.log(work)
         - math.lgamma(degree + 1)
         - math.lgamma(arg + 1)
-        + 2.0 * float(log_c[0])
+        + 2.0 * float(_log_abs(c, shift)[0])
     )
     if log_p == -math.inf:
         return 0.0
     return min(math.exp(log_p), 1.0)
 
 
-def _row_probabilities(level: int, work: float, m_top: int) -> np.ndarray:
-    """Transition probabilities from ``level`` to m = 0..m_top."""
-    m = np.arange(m_top + 1)
-    log_c = np.empty(m_top + 1)
-    if level > 0:
-        _, below = _charlier_log_degree_sweep(
-            min(level - 1, m_top), float(level), work
-        )
-        log_c[: below.size] = below
-    if m_top >= level:
-        _, above = _charlier_log_fixed_degree(
-            level, np.arange(level, m_top + 1, dtype=float), work
-        )
-        log_c[level:] = above
+def _transition_block(first: int, last: int, work: float, top: int) -> np.ndarray:
+    """p(n -> m) for n = first..last and m = 0..top, with last <= top.
+
+    One sweep over the arguments first..top: step k stores row k from
+    the diagonal on and, by symmetry, column k of every later row.
+    """
+    rows = last - first + 1
+    if work == 0.0:
+        return np.eye(rows, top + 1, k=first)
+    mantissa = np.empty((rows, top + 1))
+    shift = np.empty((rows, top + 1))
+    for k, (c, s) in enumerate(
+        _charlier_sweep(np.arange(first, top + 1, dtype=float), work, last)
+    ):
+        lo = max(k - first, 0)
+        mantissa[lo:, k], shift[lo:, k] = c[lo:rows], s[lo:rows]
+        if k >= first:
+            mantissa[lo, k:], shift[lo, k:] = c[lo:], s[lo:]
+    n = np.arange(first, last + 1)[:, None]
+    m = np.arange(top + 1)
+    log_factorial = gammaln(m + 1.0)
+    # (argument, degree) order makes the square part exactly symmetric
     log_p = (
         -work
-        + (m + level) * math.log(work)
-        - gammaln(m + 1)
-        - math.lgamma(level + 1)
-        + 2.0 * log_c
+        + (n + m) * math.log(work)
+        - log_factorial[np.maximum(n, m)]
+        - log_factorial[np.minimum(n, m)]
+        + 2.0 * _log_abs(mantissa, shift)
     )
     with np.errstate(over="ignore"):
-        p = np.exp(log_p)
-    return np.minimum(p, 1.0)
+        return np.minimum(np.exp(log_p), 1.0)
+
+
+def _truncated_rows(first: int, last: int, work: float, policy: TruncationPolicy):
+    """Rows first..last truncated by ``policy``.
+
+    Returns the block, zero past each row's cut, with each row's length
+    and captured mass.
+    """
+    _check_work(work)
+    if policy.top is not None:
+        if policy.top < last:
+            raise ValueError("the fixed top must reach the initial level")
+        p = _transition_block(first, last, work, policy.top)
+        return p, np.full(p.shape[0], p.shape[1]), p.sum(axis=1)
+    if policy.hard_cap < last:
+        raise TruncationError(f"hard cap {policy.hard_cap} is below level {last}")
+    target = 1.0 - policy.tail_mass
+    top = min(
+        int(last + work + 12.0 * math.sqrt((last + 0.5) * work + 1.0) + 30.0),
+        policy.hard_cap,
+    )
+    while True:
+        p = _transition_block(first, last, work, top)
+        cumulative = np.cumsum(p, axis=1)
+        lengths = np.sum(cumulative < target, axis=1) + 1
+        if lengths.max() <= top:
+            break
+        if top >= policy.hard_cap:
+            short = int(lengths.argmax())
+            raise TruncationError(
+                f"mass {cumulative[short, -1]:.15f} below target {target:.15f} "
+                f"at the hard cap {policy.hard_cap} (level={first + short}, "
+                f"work={work})"
+            )
+        top = min(2 * top + 16, policy.hard_cap)
+    p[np.arange(top + 1) >= lengths[:, None]] = 0.0
+    return p, lengths, cumulative[np.arange(lengths.size), lengths - 1]
 
 
 def transition_row(level: int, work: float,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> TransitionRow:
-    """Row of transition probabilities, extended to the tail-mass target.
-
-    Levels m are appended until the cumulative mass reaches
-    ``1 - policy.tail_mass``; hitting ``policy.hard_cap`` first raises
-    :class:`TruncationError`.
-    """
+    """Row of transition probabilities out of ``level``, cut by ``policy``."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    if work < 0.0:
-        raise ValueError("work must be non-negative")
-    if work == 0.0:
-        p = np.zeros(level + 1)
-        p[level] = 1.0
-        return TransitionRow(level, work, p, 1.0)
-    target = 1.0 - policy.tail_mass
-    m_top = min(
-        int(level + work + 12.0 * math.sqrt((level + 0.5) * work + 1.0) + 30.0),
-        policy.hard_cap,
-    )
-    while True:
-        p = _row_probabilities(level, work, m_top)
-        cumulative = np.cumsum(p)
-        stop = int(np.searchsorted(cumulative, target))
-        if stop < p.size:
-            return TransitionRow(level, work, p[: stop + 1], float(cumulative[stop]))
-        if m_top >= policy.hard_cap:
-            raise TruncationError(
-                f"mass {cumulative[-1]:.15f} below target {target:.15f} at the "
-                f"hard cap {policy.hard_cap} (level={level}, work={work})"
-            )
-        m_top = min(2 * m_top + 16, policy.hard_cap)
-
-
-def transition_row_fixed(level: int, work: float, m_top: int) -> TransitionRow:
-    """Row truncated at a fixed top level, mass target not enforced.
-
-    Matches figure data whose source states an explicit truncation; the
-    captured mass is reported as-is.
-    """
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    if m_top < level:
-        raise ValueError("m_top must reach the initial level")
-    if work < 0.0:
-        raise ValueError("work must be non-negative")
-    if work == 0.0:
-        p = np.zeros(m_top + 1)
-        p[level] = 1.0
-        return TransitionRow(level, work, p, 1.0)
-    p = _row_probabilities(level, work, m_top)
-    return TransitionRow(level, work, p, float(p.sum()))
-
-
-def _row_for(level, work, policy, m_cap):
-    if m_cap is None:
-        return transition_row(level, work, policy)
-    return transition_row_fixed(level, work, m_cap)
+    p, lengths, captured = _truncated_rows(level, level, work, policy)
+    return TransitionRow(level, work, p[0, : lengths[0]], float(captured[0]))
 
 
 def microcanonical_stats(level: int, work: float,
-                         policy: TruncationPolicy = DEFAULT_POLICY,
-                         m_cap: int | None = None) -> QuantumStats:
+                         policy: TruncationPolicy = DEFAULT_POLICY) -> QuantumStats:
     """Mean, variance and entropy of the row out of a single level.
 
     The mean and variance reproduce the closed forms ``level + work``
@@ -284,8 +278,7 @@ def microcanonical_stats(level: int, work: float,
     ``p_m ln(m + 1/2)``.  An undriven oscillator returns exactly
     ``(level, 0, ln(level + 1/2))``.
     """
-    row = _row_for(level, work, policy, m_cap)
-    p = row.probabilities
+    p = transition_row(level, work, policy).probabilities
     m = np.arange(p.size)
     mean = float(np.dot(m, p))
     variance = float(np.dot((m - mean) ** 2, p))
@@ -295,8 +288,7 @@ def microcanonical_stats(level: int, work: float,
 
 def canonical_entropy_change(inv_temperature: float, work: float,
                              level_cutoff: int,
-                             policy: TruncationPolicy = DEFAULT_POLICY,
-                             m_cap: int | None = None) -> float:
+                             policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Entropy change of a thermal level ensemble after the drive.
 
     Geometric-weighted sum of the microcanonical entropy gains over
@@ -305,21 +297,16 @@ def canonical_entropy_change(inv_temperature: float, work: float,
     decreasing, so the result is non-negative by the entropy-increase
     theorem.
     """
-    if inv_temperature <= 0.0:
-        raise ValueError("inverse temperature must be positive")
+    if not 0.0 < inv_temperature < math.inf:
+        raise ValueError("inverse temperature must be positive and finite")
     if level_cutoff < 1:
         raise ValueError("level_cutoff must be >= 1")
-    if work < 0.0:
-        raise ValueError("work must be non-negative")
-    if work == 0.0:
-        return 0.0
-    prefactor = 1.0 - math.exp(-inv_temperature)
-    total = 0.0
-    for level in range(level_cutoff + 1):
-        stats = microcanonical_stats(level, work, policy, m_cap)
-        gain = stats.entropy - math.log(level + 0.5)
-        total += prefactor * math.exp(-inv_temperature * level) * gain
-    return total
+    p, _, _ = _truncated_rows(0, level_cutoff, work, policy)
+    log_volume = np.log(np.arange(p.shape[1]) + 0.5)
+    levels = np.arange(level_cutoff + 1)
+    gains = p @ log_volume - log_volume[levels]
+    weights = (1.0 - math.exp(-inv_temperature)) * np.exp(-inv_temperature * levels)
+    return float(weights @ gains)
 
 
 def canonical_tail_bound(inv_temperature: float, work: float,

@@ -117,6 +117,14 @@ class TestWorkHalfSine:
         with pytest.raises(ValueError):
             work_half_sine(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "amplitude, duration",
+        [(math.nan, 2.0), (math.inf, 2.0), (6.0, math.nan), (6.0, math.inf)],
+    )
+    def test_rejects_non_finite_input(self, amplitude, duration):
+        with pytest.raises(ValueError):
+            work_half_sine(amplitude, duration)
+
     def test_bound_coefficient_derivation(self):
         derived = work_bound_coefficient(points=200_000)
         assert derived <= WORK_BOUND_COEFFICIENT

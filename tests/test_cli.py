@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qentropy.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 @pytest.fixture
@@ -136,6 +139,51 @@ class TestFig3:
             main, ["fig3", "--beta", "0", "--output", str(tmp_path / "x.csv")]
         )
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("mode, m_trunc", [("fixed", "1000"), ("adaptive", "0")])
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
+def test_default_figures_match_reference(runner, tmp_path, figure, mode, m_trunc):
+    # reference CSVs written by the original per-row code; a field may
+    # move by at most 1e-10 relative (absolute 1e-14 near zero)
+    out = tmp_path / f"{figure}.csv"
+    result = runner.invoke(main, [figure, "--m-trunc", m_trunc, "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    _, header, rows = read_csv(out)
+    reference = REFERENCE / f"figures-{mode}" / f"{figure}.csv"
+    _, want_header, want_rows = read_csv(reference)
+    assert header == want_header
+    assert len(rows) == len(want_rows)
+    for got, want in zip(rows, want_rows):
+        assert len(got) == len(want)
+        for value, expected in zip(map(float, got), map(float, want)):
+            assert abs(value - expected) <= max(1e-10 * abs(expected), 1e-14), (
+                got, want)
+
+
+@pytest.mark.parametrize("args", [
+    ["fig1", "--work", "nan"],
+    ["fig1", "--work", "inf"],
+    ["fig1", "--tail-mass", "nan"],
+    ["fig2", "--amplitude", "nan"],
+    ["fig2", "--t-min", "nan"],
+    ["fig2", "--t-max", "inf"],
+    ["fig2", "--t-step", "nan"],
+    ["fig3", "--beta", "inf"],
+    ["fig3", "--amplitude", "-inf"],
+])
+def test_rejects_non_finite_options(runner, tmp_path, args):
+    out = tmp_path / "bad.csv"
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 2
+    assert "not a finite number" in result.output
+    assert not out.exists()
+
+
+def test_rejects_out_of_range_tail_mass(runner, tmp_path):
+    result = runner.invoke(main, ["fig1", "--m-trunc", "0", "--tail-mass", "2",
+                                  "--output", str(tmp_path / "bad.csv")])
+    assert result.exit_code == 2
 
 
 class TestVerify:

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from qentropy import quantum
 from qentropy.quantum import (
     DEFAULT_POLICY,
     TruncationError,
@@ -13,7 +15,6 @@ from qentropy.quantum import (
     microcanonical_stats,
     transition_probability,
     transition_row,
-    transition_row_fixed,
 )
 
 RESONANT_WORK = 44.41321980490211  # half-sine work at the resonant duration
@@ -118,6 +119,69 @@ class TestTransitionProbability:
         p = transition_probability(1800, 1850, 30.0)
         assert 0.0 <= p <= 1.0
 
+    @pytest.mark.parametrize(
+        "n, m, work", [(200, 230, 30.0), (600, 640, 50.0), (1500, 1560, 60.0)]
+    )
+    def test_large_indices_against_high_precision(self, n, m, work):
+        # the direct sum at 400 digits; doubling the precision leaves the
+        # reference unchanged at double precision
+        with mpmath.workdps(400):
+            w = mpmath.mpf(work)
+            c = mpmath.fsum(
+                (-1) ** l * math.comb(m, l) * math.comb(n, l)
+                * math.factorial(l) / w**l
+                for l in range(min(n, m) + 1)
+            )
+            reference = float(
+                mpmath.exp(-w) * w ** (n + m) * c**2
+                / (mpmath.factorial(n) * mpmath.factorial(m))
+            )
+        stable = transition_probability(n, m, work)
+        assert abs(stable - reference) <= 1e-11 * reference
+
+
+class TestTransitionBlock:
+    """The one degree sweep that every row and sum reduces over."""
+
+    WORKS = (0.1, 10.0, RESONANT_WORK)
+    LEVELS = np.unique(np.r_[0:6, 6:151:9, 150])
+
+    @pytest.mark.parametrize("work", WORKS)
+    def test_entries_match_point_evaluator(self, work):
+        # both sides of the diagonal, up to level 150; at work 0.1 the
+        # high levels run through the rescaling.  Entries below the
+        # normal float range are compared absolutely.
+        block = quantum._transition_block(0, 150, work, 160)
+        for n in self.LEVELS:
+            for m in np.r_[self.LEVELS, 155, 160]:
+                np.testing.assert_allclose(
+                    block[n, m], transition_probability(int(n), int(m), work),
+                    rtol=1e-12, atol=np.finfo(float).tiny,
+                )
+
+    @pytest.mark.parametrize("work", WORKS)
+    def test_square_part_exactly_symmetric(self, work):
+        square = quantum._transition_block(0, 150, work, 160)[:, :151]
+        assert np.array_equal(square, square.T)
+
+    @pytest.mark.parametrize("work", WORKS)
+    def test_row_ranges_are_rows_of_the_full_block(self, work):
+        full = quantum._transition_block(0, 150, work, 160)
+        for first, last in ((0, 0), (37, 37), (150, 150), (100, 150)):
+            part = quantum._transition_block(first, last, work, 160)
+            assert np.array_equal(part, full[first : last + 1])
+
+    @pytest.mark.parametrize("work", WORKS)
+    def test_doubly_stochastic(self, work):
+        block = quantum._transition_block(0, 800, work, 800)
+        np.testing.assert_allclose(block[:41].sum(axis=1), 1.0, atol=1e-10)
+        np.testing.assert_allclose(block[:, :41].sum(axis=0), 1.0, atol=1e-10)
+
+    def test_undriven_block_is_identity(self):
+        assert np.array_equal(
+            quantum._transition_block(3, 5, 0.0, 8), np.eye(3, 9, k=3)
+        )
+
 
 class TestTransitionRow:
     def test_poisson_row_extension(self):
@@ -148,7 +212,7 @@ class TestTransitionRow:
                 assert row.captured_mass >= 1.0 - 1e-12
 
     def test_fixed_cut(self):
-        row = transition_row_fixed(2, 10.0, 1000)
+        row = transition_row(2, 10.0, TruncationPolicy(top=1000))
         assert row.probabilities.size == 1001
         assert row.captured_mass == pytest.approx(1.0, abs=1e-12)
 
@@ -157,6 +221,18 @@ class TestTransitionRow:
             TruncationPolicy(tail_mass=0.0)
         with pytest.raises(ValueError):
             TruncationPolicy(hard_cap=0)
+
+    def test_fixed_top_validation(self):
+        with pytest.raises(ValueError):
+            TruncationPolicy(top=-1)
+        with pytest.raises(ValueError):
+            transition_row(5, 1.0, TruncationPolicy(top=4))
+        with pytest.raises(ValueError):
+            canonical_entropy_change(2.0, 1.0, 30, TruncationPolicy(top=20))
+
+    def test_hard_cap_below_level_raises(self):
+        with pytest.raises(TruncationError):
+            transition_row(20, 1.0, TruncationPolicy(hard_cap=12))
 
 
 class TestMicrocanonicalStats:
@@ -217,7 +293,7 @@ class TestMicrocanonicalStats:
 
     def test_fixed_cut_agrees_with_adaptive(self):
         adaptive = microcanonical_stats(2, 10.0)
-        fixed = microcanonical_stats(2, 10.0, m_cap=1000)
+        fixed = microcanonical_stats(2, 10.0, TruncationPolicy(top=1000))
         assert fixed.entropy == pytest.approx(adaptive.entropy, abs=1e-10)
 
 
@@ -257,3 +333,23 @@ class TestCanonical:
             canonical_entropy_change(-1.0, 1.0, 10)
         with pytest.raises(ValueError):
             canonical_entropy_change(1.0, 1.0, 0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("work", [math.nan, math.inf, -math.inf])
+    def test_work_rejected_by_every_entry_point(self, work):
+        with pytest.raises(ValueError):
+            transition_probability(2, 3, work)
+        with pytest.raises(ValueError):
+            transition_row(2, work)
+        with pytest.raises(ValueError):
+            microcanonical_stats(2, work)
+        with pytest.raises(ValueError):
+            canonical_entropy_change(2.0, work, 10)
+        with pytest.raises(ValueError):
+            microcanonical_stats(2, work, TruncationPolicy(top=100))
+
+    @pytest.mark.parametrize("inv_temperature", [math.nan, math.inf])
+    def test_canonical_rejects_non_finite_beta(self, inv_temperature):
+        with pytest.raises(ValueError):
+            canonical_entropy_change(inv_temperature, 1.0, 10)
