@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .quadrature import QuadratureWarning, integrate_left_singular, periodic_average
 
@@ -48,6 +47,11 @@ _QUAD_ERROR_BOUND = 1e-8
 _CANONICAL_N_HALF = 256
 
 
+def _check_duration(duration: float) -> None:
+    if not 0.0 < duration < math.inf:
+        raise ValueError("duration must be positive and finite")
+
+
 @dataclass(frozen=True)
 class HalfSineDrive:
     """Half-sine pulse: amplitude * sin(pi*t/duration) on [0, duration]."""
@@ -56,8 +60,9 @@ class HalfSineDrive:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
+        _check_duration(self.duration)
 
     def force(self, t):
         t = np.asarray(t, dtype=float)
@@ -79,8 +84,9 @@ class TabulatedDrive:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 1 or s.size < 3:
             raise ValueError("need at least 3 samples")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not np.isfinite(s).all():
+            raise ValueError("samples must be finite")
+        _check_duration(self.duration)
         s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
@@ -142,6 +148,22 @@ def _half_sine_response(amplitude: float, duration: float) -> complex:
     )
 
 
+def _simpson(y: np.ndarray, h: float) -> complex:
+    """Composite Simpson sum of samples ``y`` spaced ``h`` apart.
+
+    An even sample count takes Simpson's rule on the first n - 1 points
+    and, on the final interval, the parabola through the last three
+    points (Cartwright's correction).
+    """
+    odd = y[: y.size - 1 + y.size % 2]
+    total = h / 3.0 * (
+        odd[0] + 4.0 * odd[1:-1:2].sum() + 2.0 * odd[2:-1:2].sum() + odd[-1]
+    )
+    if y.size % 2 == 0:
+        total += h * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
+    return complex(total)
+
+
 def drive_response(drive) -> WorkDescriptor:
     """Fourier-type response of the drive at the oscillator frequency.
 
@@ -156,7 +178,8 @@ def drive_response(drive) -> WorkDescriptor:
     if isinstance(drive, TabulatedDrive):
         grid = np.linspace(0.0, drive.duration, drive.samples.size)
         integrand = drive.samples * np.exp(1j * grid)
-        return WorkDescriptor.from_response(complex(simpson(integrand, x=grid)))
+        step = drive.duration / (drive.samples.size - 1)
+        return WorkDescriptor.from_response(_simpson(integrand, step))
     raise TypeError(f"unsupported drive type: {type(drive).__name__}")
 
 
@@ -181,8 +204,7 @@ def work_half_sine(amplitude: float, duration: float) -> float:
     """
     if not math.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
-    if not 0.0 < duration < math.inf:
-        raise ValueError("duration must be positive and finite")
+    _check_duration(duration)
     eps = duration - math.pi
     if abs(eps) < SERIES_WINDOW:
         half_shifted = 0.5 - eps**2 / 24.0 + eps**4 / 720.0  # (1-cos eps)/eps**2

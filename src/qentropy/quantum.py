@@ -35,19 +35,30 @@ data whose source states an explicit truncation.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 _RESCALE_HI = 1e120
 _RESCALE_LO = 1e-120
 
+#: Largest mass a row cut at a fixed top may leave out before
+#: :class:`TruncationWarning` is raised.
+MASS_DEFICIT_TOL = 1e-9
+
+#: ln(k!) for k = 0..size-1; grown on demand by :func:`_log_factorials`.
+_LOG_FACTORIAL = np.zeros(0)
+
 
 class TruncationError(RuntimeError):
     """The hard cap was reached before the tail-mass target."""
+
+
+class TruncationWarning(UserWarning):
+    """A row cut at a fixed top level left out noticeable mass."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +69,8 @@ class TruncationPolicy:
     ``1 - tail_mass``; reaching ``hard_cap`` first raises
     :class:`TruncationError`.  An integer ``top`` instead cuts every row
     at level ``top``, leaving ``tail_mass`` and ``hard_cap`` unused, and
-    reports the captured mass as-is.
+    reports the captured mass as-is, with a :class:`TruncationWarning`
+    when a row leaves out more than :data:`MASS_DEFICIT_TOL`.
     """
 
     tail_mass: float = 1e-12
@@ -190,6 +202,17 @@ def transition_probability(n: int, m: int, work: float) -> float:
     return min(math.exp(log_p), 1.0)
 
 
+def _log_factorials(top: int) -> np.ndarray:
+    """Read-only ln(k!) for k = 0..top, from the module-level table."""
+    global _LOG_FACTORIAL
+    if _LOG_FACTORIAL.size <= top:
+        size = max(top + 1, 2 * _LOG_FACTORIAL.size)
+        table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+        table.setflags(write=False)
+        _LOG_FACTORIAL = table
+    return _LOG_FACTORIAL[: top + 1]
+
+
 def _transition_block(first: int, last: int, work: float, top: int) -> np.ndarray:
     """p(n -> m) for n = first..last and m = 0..top, with last <= top.
 
@@ -210,7 +233,7 @@ def _transition_block(first: int, last: int, work: float, top: int) -> np.ndarra
             mantissa[lo, k:], shift[lo, k:] = c[lo:], s[lo:]
     n = np.arange(first, last + 1)[:, None]
     m = np.arange(top + 1)
-    log_factorial = gammaln(m + 1.0)
+    log_factorial = _log_factorials(top)
     # (argument, degree) order makes the square part exactly symmetric
     log_p = (
         -work
@@ -227,14 +250,26 @@ def _truncated_rows(first: int, last: int, work: float, policy: TruncationPolicy
     """Rows first..last truncated by ``policy``.
 
     Returns the block, zero past each row's cut, with each row's length
-    and captured mass.
+    and captured mass.  Under a fixed cut, a :class:`TruncationWarning`
+    names the row that leaves out most mass if that exceeds
+    :data:`MASS_DEFICIT_TOL`.
     """
     _check_work(work)
     if policy.top is not None:
         if policy.top < last:
             raise ValueError("the fixed top must reach the initial level")
         p = _transition_block(first, last, work, policy.top)
-        return p, np.full(p.shape[0], p.shape[1]), p.sum(axis=1)
+        captured = p.sum(axis=1)
+        short = int(captured.argmin())
+        if 1.0 - captured[short] > MASS_DEFICIT_TOL:
+            warnings.warn(
+                f"row of level {first + short} keeps mass "
+                f"{captured[short]:.15f} at the fixed top {policy.top} "
+                f"(work={work}); raise the top",
+                TruncationWarning,
+                stacklevel=3,
+            )
+        return p, np.full(p.shape[0], p.shape[1]), captured
     if policy.hard_cap < last:
         raise TruncationError(f"hard cap {policy.hard_cap} is below level {last}")
     target = 1.0 - policy.tail_mass

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 from scipy.special import exp1
 
 from qentropy.classical import (
@@ -12,6 +12,7 @@ from qentropy.classical import (
     TabulatedDrive,
     WORK_BOUND_COEFFICIENT,
     WorkDescriptor,
+    _simpson,
     _work_half_sine_direct,
     canonical_entropy_change,
     drive_response,
@@ -84,6 +85,38 @@ class TestDriveResponse:
     def test_unknown_drive_type(self):
         with pytest.raises(TypeError):
             drive_response(object())
+
+    @pytest.mark.parametrize("count", [3, 4, 5, 10, 4001, 10_000])
+    def test_simpson_matches_scipy(self, count):
+        duration = 2.5
+        grid = np.linspace(0.0, duration, count)
+        samples = (1.0 + grid**2) * np.exp(1j * grid) + np.cos(3.0 * grid)
+        ours = _simpson(samples, duration / (count - 1))
+        reference = complex(simpson(samples, x=grid))
+        assert abs(ours - reference) <= 1e-12 * abs(reference)
+
+
+class TestDriveValidation:
+    @pytest.mark.parametrize(
+        "amplitude, duration",
+        [(math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan), (1.0, math.inf),
+         (1.0, 0.0), (1.0, -1.0)],
+    )
+    def test_half_sine_rejects_bad_parameters(self, amplitude, duration):
+        with pytest.raises(ValueError):
+            HalfSineDrive(amplitude, duration)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_tabulated_rejects_non_finite_samples(self, bad):
+        samples = np.sin(np.linspace(0.0, math.pi, 11))
+        samples[4] = bad
+        with pytest.raises(ValueError):
+            TabulatedDrive(samples, 2.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, 0.0])
+    def test_tabulated_rejects_bad_duration(self, duration):
+        with pytest.raises(ValueError):
+            TabulatedDrive(np.ones(5), duration)
 
 
 class TestWorkHalfSine:

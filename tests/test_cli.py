@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qentropy
+from qentropy import quantum
 from qentropy.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -56,6 +61,16 @@ class TestFig1:
             main, ["fig1", "--work", "-1", "--output", str(tmp_path / "x.csv")]
         )
         assert result.exit_code == 2
+
+    def test_fixed_cut_mass_loss_warns(self, runner, tmp_path):
+        out = tmp_path / "fig1.csv"
+        with pytest.warns(quantum.TruncationWarning) as caught:
+            result = runner.invoke(
+                main, ["fig1", "--n-trunc", "900", "--output", str(out)]
+            )
+        assert result.exit_code == 0
+        assert any("level 900 keeps mass 0.658" in str(w.message)
+                   and "fixed top 1000" in str(w.message) for w in caught)
 
 
 class TestFig2:
@@ -141,6 +156,7 @@ class TestFig3:
         assert result.exit_code == 2
 
 
+@pytest.mark.filterwarnings("error::qentropy.quantum.TruncationWarning")
 @pytest.mark.parametrize("mode, m_trunc", [("fixed", "1000"), ("adaptive", "0")])
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
 def test_default_figures_match_reference(runner, tmp_path, figure, mode, m_trunc):
@@ -184,6 +200,29 @@ def test_rejects_out_of_range_tail_mass(runner, tmp_path):
     result = runner.invoke(main, ["fig1", "--m-trunc", "0", "--tail-mass", "2",
                                   "--output", str(tmp_path / "bad.csv")])
     assert result.exit_code == 2
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the only numerical dependency of the package; scipy is a
+    # test-only reference
+    script = (
+        "import sys, qentropy.cli\n"
+        "for args in (['fig1', '--n-trunc', '3'], ['fig2', '--t-max', '1'],\n"
+        "             ['fig3', '--t-max', '1', '--n-trunc', '5'],\n"
+        "             ['verify', '--trials', '10'], ['theorem-demo']):\n"
+        "    try:\n"
+        "        qentropy.cli.main(args=args)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code in (0, None), exc.code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(qentropy.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestVerify:

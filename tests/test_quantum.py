@@ -297,6 +297,29 @@ class TestMicrocanonicalStats:
         assert fixed.entropy == pytest.approx(adaptive.entropy, abs=1e-10)
 
 
+class TestLogFactorials:
+    def test_equals_lgamma_and_survives_growing(self, monkeypatch):
+        monkeypatch.setattr(quantum, "_LOG_FACTORIAL", np.zeros(0))
+        for top in (0, 5, 7, 300, 40, 2500):
+            table = quantum._log_factorials(top)
+            assert table.size == top + 1
+            assert all(table[k] == math.lgamma(k + 1) for k in range(top + 1))
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+class TestFixedCutMassWarning:
+    def test_short_row_warns_with_level_mass_and_top(self):
+        with pytest.warns(quantum.TruncationWarning,
+                          match=r"level 40 keeps mass 0\.\d+ at the fixed top 45"):
+            row = transition_row(40, 10.0, TruncationPolicy(top=45))
+        assert 1.0 - row.captured_mass > quantum.MASS_DEFICIT_TOL
+
+    def test_block_names_its_worst_row(self):
+        with pytest.warns(quantum.TruncationWarning, match="level 30 "):
+            canonical_entropy_change(2.0, 10.0, 30, TruncationPolicy(top=60))
+
+
 class TestColumnSums:
     def test_column_sums_approach_one(self):
         # double stochasticity: summing over the initial level at fixed

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qentropy.quantum import transition_probability
 from qentropy.schrodinger import (
     BasisLeakWarning,
     PropagatorResult,
+    UnitarityError,
     hamiltonian_matrix,
     numeric_transition_row,
     propagate,
@@ -64,6 +66,12 @@ class TestPropagate:
         err_fine = np.max(np.abs(rows[400] - rows[800]))
         slope = math.log2(err_coarse / err_fine)
         assert slope >= 1.9
+
+    @pytest.mark.parametrize("force", [math.nan, math.inf])
+    def test_non_finite_force_raises(self, force):
+        drive = SimpleNamespace(duration=2.0, force=lambda t: force)
+        with pytest.raises(UnitarityError):
+            propagate(drive, dim=20, steps=100)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
