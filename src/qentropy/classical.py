@@ -34,8 +34,8 @@ import numpy as np
 from .quadrature import QuadratureWarning, integrate_left_singular, periodic_average
 
 #: Series branch half-width around duration = pi where the closed-form
-#: half-sine work degenerates to 0/0; the direct formula loses ~6 digits
-#: inside this window.
+#: half-sine response degenerates to 0/0; the direct formula loses ~6
+#: digits inside this window.
 SERIES_WINDOW = 1e-3
 
 #: sup over durations of work/amplitude**2 for the half-sine pulse,
@@ -50,6 +50,11 @@ _CANONICAL_N_HALF = 256
 def _check_duration(duration: float) -> None:
     if not 0.0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
+
+
+def _check_non_negative(*values: float) -> None:
+    if not all(0.0 <= value < math.inf for value in values):
+        raise ValueError(f"volumes and work must be finite and non-negative: {values}")
 
 
 @dataclass(frozen=True)
@@ -197,25 +202,11 @@ def _work_half_sine_direct(amplitude: float, duration: float) -> float:
 def work_half_sine(amplitude: float, duration: float) -> float:
     """Work done by the half-sine pulse as a function of its duration.
 
-    Uses the closed form
-    ``amplitude**2 pi**2 T**2 (1 + cos T) / (pi**2 - T**2)**2`` with a
-    fourth-order Taylor branch for |T - pi| < 1e-3, whose leading value
-    is ``amplitude**2 pi**2 / 8``.
+    The work of :func:`drive_response`, equal to
+    ``amplitude**2 pi**2 T**2 (1 + cos T) / (pi**2 - T**2)**2`` and to
+    ``amplitude**2 pi**2 / 8`` at T = pi.
     """
-    if not math.isfinite(amplitude):
-        raise ValueError("amplitude must be finite")
-    _check_duration(duration)
-    eps = duration - math.pi
-    if abs(eps) < SERIES_WINDOW:
-        half_shifted = 0.5 - eps**2 / 24.0 + eps**4 / 720.0  # (1-cos eps)/eps**2
-        return (
-            amplitude**2
-            * math.pi**2
-            * (math.pi + eps) ** 2
-            * half_shifted
-            / (2.0 * math.pi + eps) ** 2
-        )
-    return _work_half_sine_direct(amplitude, duration)
+    return drive_response(HalfSineDrive(amplitude, duration)).work
 
 
 def work_bound_coefficient(points: int = 400_000, t_max: float = 200.0) -> float:
@@ -243,8 +234,7 @@ def work_bound_coefficient(points: int = 400_000, t_max: float = 200.0) -> float
 
 def kernel_support(initial_volume: float, work: float) -> KernelSupport:
     """Interval of final volumes reachable from ``initial_volume``."""
-    if initial_volume < 0.0 or work < 0.0:
-        raise ValueError("volumes and work must be non-negative")
+    _check_non_negative(initial_volume, work)
     root = math.sqrt(initial_volume) - math.sqrt(work)
     return KernelSupport(root * root, (math.sqrt(initial_volume) + math.sqrt(work)) ** 2)
 
@@ -256,8 +246,7 @@ def final_volume(initial_volume: float, initial_phase, descriptor: WorkDescripto
     Broadcasts over ``initial_phase``; every output lies inside
     :func:`kernel_support` bounds.
     """
-    if initial_volume < 0.0:
-        raise ValueError("initial volume must be non-negative")
+    _check_non_negative(initial_volume)
     phase = np.asarray(initial_phase, dtype=float)
     out = (
         initial_volume
@@ -278,7 +267,8 @@ def kernel_density(final_vol, initial_volume: float, work: float):
     drives (``work == 0``) or orbits (``initial_volume == 0``) produce a
     delta distribution and are rejected; callers must special-case them.
     """
-    if initial_volume <= 0.0 or work <= 0.0:
+    _check_non_negative(initial_volume, work)
+    if initial_volume == 0.0 or work == 0.0:
         raise ValueError("kernel density needs initial_volume > 0 and work > 0")
     v = np.asarray(final_vol, dtype=float)
     disc = 4.0 * initial_volume * work - (v - initial_volume - work) ** 2
@@ -293,8 +283,7 @@ def microcanonical_stats(initial_volume: float, work: float) -> MicrocanonicalSt
     mean = v + w, variance = 2*v*w, log-mean = ln(max(v, w)).  The
     log-mean requires max(v, w) > 0.
     """
-    if initial_volume < 0.0 or work < 0.0:
-        raise ValueError("volumes and work must be non-negative")
+    _check_non_negative(initial_volume, work)
     top = max(initial_volume, work)
     if top <= 0.0:
         raise ValueError("log-mean undefined for initial_volume = work = 0")
@@ -318,8 +307,7 @@ def microcanonical_quadrature(initial_volume: float, work: float,
     """
     if nodes < 16:
         raise ValueError("nodes must be >= 16")
-    if initial_volume < 0.0 or work < 0.0:
-        raise ValueError("volumes and work must be non-negative")
+    _check_non_negative(initial_volume, work)
     if max(initial_volume, work) <= 0.0:
         raise ValueError("log-mean undefined for initial_volume = work = 0")
     if work == 0.0:
@@ -364,10 +352,9 @@ def canonical_entropy_change(inv_temperature: float, work: float) -> float:
     rule; the result is non-negative, tends to ``s`` as ``s -> 0``, and
     is exactly 0 for an undriven ensemble.
     """
-    if inv_temperature <= 0.0:
-        raise ValueError("inverse temperature must be positive")
-    if work < 0.0:
-        raise ValueError("work must be non-negative")
+    if not 0.0 < inv_temperature < math.inf:
+        raise ValueError("inverse temperature must be positive and finite")
+    _check_non_negative(work)
     if work == 0.0:
         return 0.0
     s = inv_temperature * work

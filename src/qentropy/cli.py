@@ -79,10 +79,14 @@ def _duration_grid(t_min: float, t_max: float, t_step: float) -> np.ndarray:
     return t_min + t_step * np.arange(count)
 
 
-def _truncation(m_trunc: int, tail_mass: float) -> quantum.TruncationPolicy:
-    """m_trunc > 0 selects the fixed cut; 0 selects adaptive truncation."""
+def _truncation(m_trunc: int, tail_mass: float, level: int) -> quantum.TruncationPolicy:
+    """Fixed cut at m_trunc > 0, else adaptive; either must reach ``level``."""
     if m_trunc < 0:
         raise click.BadParameter("--m-trunc must be >= 0")
+    top = m_trunc or quantum.HARD_CAP
+    if level > top:
+        raise click.BadParameter(f"initial level {level} is above the top "
+                                 f"level {top} that --m-trunc {m_trunc} allows")
     if m_trunc > 0:
         return quantum.TruncationPolicy(top=m_trunc)
     try:
@@ -113,12 +117,10 @@ def fig1(work, n_trunc, m_trunc, tail_mass, output):
         raise click.BadParameter("--work must be non-negative")
     if n_trunc < 0:
         raise click.BadParameter("--n-trunc must be >= 0")
-    policy = _truncation(m_trunc, tail_mass)
-    rows = []
-    for level in range(n_trunc + 1):
-        classical_entropy = math.log(max(level + 0.5, work))
-        stats = quantum.microcanonical_stats(level, work, policy)
-        rows.append((level, classical_entropy, stats.entropy))
+    policy = _truncation(m_trunc, tail_mass, n_trunc)
+    entropies = quantum.level_entropies(n_trunc, work, policy).tolist()
+    rows = [(level, math.log(max(level + 0.5, work)), entropies[level])
+            for level in range(n_trunc + 1)]
     _write_csv(
         output, "fig1",
         {"work": work, "n-trunc": n_trunc, "m-trunc": m_trunc,
@@ -149,7 +151,7 @@ def fig2(amplitude, level, t_min, t_max, t_step, m_trunc, tail_mass, output):
     if level < 0:
         raise click.BadParameter("--level must be >= 0")
     grid = _duration_grid(t_min, t_max, t_step)
-    policy = _truncation(m_trunc, tail_mass)
+    policy = _truncation(m_trunc, tail_mass, level)
     start_volume = level + 0.5
     rows = []
     for duration in grid:
@@ -194,7 +196,7 @@ def fig3(amplitude, beta, n_trunc, t_min, t_max, t_step, m_trunc, tail_mass,
     if n_trunc < 1:
         raise click.BadParameter("--n-trunc must be >= 1")
     grid = _duration_grid(t_min, t_max, t_step)
-    policy = _truncation(m_trunc, tail_mass)
+    policy = _truncation(m_trunc, tail_mass, n_trunc)
     rows = []
     max_work = 0.0
     for duration in grid:

@@ -14,22 +14,24 @@ with mean ``n + w`` and variance ``(2n + 1) w``.
 
 :func:`charlier_direct` evaluates the sum literally in exact rational
 arithmetic; its value overflows the float range beyond m, n of a few
-hundred.  Everything else rests on one sweep of the three-term
-recurrence in the degree, vectorised over the arguments ``m``, with the
-magnitude rescaled whenever it leaves a safe window and the prefactor
-accumulated in the log domain.  Each entry takes the smaller index as
-its degree, which keeps the recurrence in the oscillatory/dominant
-regime where forward recursion is stable; values to m, n of a few
-thousand stay accurate in absolute terms.  Step ``k`` of the sweep
-gives row ``k`` from the diagonal on, and through the exact symmetry
-``p(n -> m) = p(m -> n)`` the entries left of the diagonal of every
-later row.  A single row keeps only its own entries, so its working
-memory is one row; :func:`canonical_entropy_change` keeps the whole
-block of rows it sums over.
+hundred.  Everything else reads :func:`transition_block`, one sweep of
+the three-term recurrence in the degree, vectorised over the arguments
+``m``, with the magnitude rescaled whenever it leaves a safe window and
+the prefactor accumulated in the log domain.  Each entry takes the
+smaller index as its degree, which keeps the recurrence in the
+oscillatory/dominant regime where forward recursion is stable; values
+to m, n of a few thousand stay accurate in absolute terms.  Step ``k``
+of the sweep gives row ``k`` from the diagonal on, and through the
+exact symmetry ``p(n -> m) = p(m -> n)`` the entries left of the
+diagonal of every later row.  A single row, or a single entry
+(:func:`transition_probability`), is a one-row block;
+:func:`level_entropies` and :func:`canonical_entropy_change` reduce
+over the block of every initial level they sum over.
 
 Every sum over levels is truncated by one :class:`TruncationPolicy`:
-adaptively by a tail-mass target, or at a fixed top level for figure
-data whose source states an explicit truncation.
+adaptively by a tail-mass target, never past :data:`HARD_CAP`, or at a
+fixed top level for figure data whose source states an explicit
+truncation.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ import numpy as np
 _RESCALE_HI = 1e120
 _RESCALE_LO = 1e-120
 
+#: Highest level an adaptive row may reach before :class:`TruncationError`.
+HARD_CAP = 5000
+
 #: Largest mass a row cut at a fixed top may leave out before
 #: :class:`TruncationWarning` is raised.
 MASS_DEFICIT_TOL = 1e-9
@@ -54,7 +59,7 @@ _LOG_FACTORIAL = np.zeros(0)
 
 
 class TruncationError(RuntimeError):
-    """The hard cap was reached before the tail-mass target."""
+    """:data:`HARD_CAP` was reached before the tail-mass target."""
 
 
 class TruncationWarning(UserWarning):
@@ -66,22 +71,19 @@ class TruncationPolicy:
     """Where every level sum stops.
 
     By default a row is extended until its mass reaches
-    ``1 - tail_mass``; reaching ``hard_cap`` first raises
+    ``1 - tail_mass``; reaching :data:`HARD_CAP` first raises
     :class:`TruncationError`.  An integer ``top`` instead cuts every row
-    at level ``top``, leaving ``tail_mass`` and ``hard_cap`` unused, and
-    reports the captured mass as-is, with a :class:`TruncationWarning`
-    when a row leaves out more than :data:`MASS_DEFICIT_TOL`.
+    at level ``top``, leaving ``tail_mass`` unused, and reports the
+    captured mass as-is, with a :class:`TruncationWarning` when a row
+    leaves out more than :data:`MASS_DEFICIT_TOL`.
     """
 
     tail_mass: float = 1e-12
-    hard_cap: int = 5000
     top: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.tail_mass < 1.0:
             raise ValueError("tail_mass must lie in (0, 1)")
-        if self.hard_cap < 1:
-            raise ValueError("hard_cap must be >= 1")
         if self.top is not None and self.top < 0:
             raise ValueError("top must be >= 0")
 
@@ -167,41 +169,6 @@ def _charlier_sweep(args: np.ndarray, work: float, top_degree: int):
         yield c, shift
 
 
-def _log_abs(mantissa, shift):
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(mantissa)) + shift
-
-
-def transition_probability(n: int, m: int, work: float) -> float:
-    """Stable transition probability between levels n and m.
-
-    Symmetric in (n, m) by construction, valid well past the overflow
-    range of :func:`charlier_direct`, and clipped to [0, 1] against
-    last-digit roundoff.  ``work = 0`` returns the adiabatic answer
-    delta_{nm}.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("levels must be non-negative")
-    _check_work(work)
-    if work == 0.0:
-        return 1.0 if n == m else 0.0
-    degree, arg = min(n, m), max(n, m)
-    for c, shift in _charlier_sweep(np.array([float(arg)]), work, degree):
-        pass
-    # accumulate in (degree, arg) order so the result is bit-identical
-    # under swapping n and m
-    log_p = (
-        -work
-        + (degree + arg) * math.log(work)
-        - math.lgamma(degree + 1)
-        - math.lgamma(arg + 1)
-        + 2.0 * float(_log_abs(c, shift)[0])
-    )
-    if log_p == -math.inf:
-        return 0.0
-    return min(math.exp(log_p), 1.0)
-
-
 def _log_factorials(top: int) -> np.ndarray:
     """Read-only ln(k!) for k = 0..top, from the module-level table."""
     global _LOG_FACTORIAL
@@ -213,37 +180,60 @@ def _log_factorials(top: int) -> np.ndarray:
     return _LOG_FACTORIAL[: top + 1]
 
 
-def _transition_block(first: int, last: int, work: float, top: int) -> np.ndarray:
-    """p(n -> m) for n = first..last and m = 0..top, with last <= top.
+def transition_block(first: int, last: int, work: float, top: int) -> np.ndarray:
+    """p(n -> m) for n = first..last and m = 0..top, clipped to [0, 1].
 
-    One sweep over the arguments first..top: step k stores row k from
-    the diagonal on and, by symmetry, column k of every later row.
+    One sweep over the arguments first..top: step k adds ``2 ln|c_k|``
+    to row k from the diagonal on and, by symmetry, to column k of every
+    later row.  ``ln p`` is formed in place in the returned array.
     """
+    if not 0 <= first <= last <= top:
+        raise ValueError(f"need 0 <= first <= last <= top, got {first}, {last}, {top}")
+    _check_work(work)
     rows = last - first + 1
     if work == 0.0:
         return np.eye(rows, top + 1, k=first)
-    mantissa = np.empty((rows, top + 1))
-    shift = np.empty((rows, top + 1))
-    for k, (c, s) in enumerate(
-        _charlier_sweep(np.arange(first, top + 1, dtype=float), work, last)
-    ):
-        lo = max(k - first, 0)
-        mantissa[lo:, k], shift[lo:, k] = c[lo:rows], s[lo:rows]
-        if k >= first:
-            mantissa[lo, k:], shift[lo, k:] = c[lo:], s[lo:]
     n = np.arange(first, last + 1)[:, None]
     m = np.arange(top + 1)
     log_factorial = _log_factorials(top)
+    # -work + (n+m) ln w - ln(max!) - ln(min!) + 2 ln|c|, in this order;
     # (argument, degree) order makes the square part exactly symmetric
-    log_p = (
-        -work
-        + (n + m) * math.log(work)
-        - log_factorial[np.maximum(n, m)]
-        - log_factorial[np.minimum(n, m)]
-        + 2.0 * _log_abs(mantissa, shift)
-    )
+    index = n + m
+    log_p = index * math.log(work)
+    log_p -= work
+    log_p -= log_factorial[np.maximum(n, m, out=index)]
+    log_p -= log_factorial[np.minimum(n, m, out=index)]
+    with np.errstate(divide="ignore"):
+        for k, (c, shift) in enumerate(
+            _charlier_sweep(np.arange(first, top + 1, dtype=float), work, last)
+        ):
+            lo = max(k - first, 0)
+            twice_log = np.abs(c[lo:] if k >= first else c[:rows])
+            np.log(twice_log, out=twice_log)
+            twice_log += shift[lo : lo + twice_log.size]
+            twice_log *= 2.0
+            column = log_p[lo:, k]
+            column += twice_log[: rows - lo]
+            if k >= first:
+                row = log_p[lo, k + 1 :]
+                row += twice_log[1:]
     with np.errstate(over="ignore"):
-        return np.minimum(np.exp(log_p), 1.0)
+        np.exp(log_p, out=log_p)
+    return np.minimum(log_p, 1.0, out=log_p)
+
+
+def transition_probability(n: int, m: int, work: float) -> float:
+    """Stable transition probability between levels n and m.
+
+    The last entry of the one-row :func:`transition_block` out of the
+    smaller index, cut at the larger: symmetric in (n, m), valid well
+    past the overflow range of :func:`charlier_direct`, and delta_{nm}
+    for ``work = 0``.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("levels must be non-negative")
+    low, high = min(n, m), max(n, m)
+    return float(transition_block(low, low, work, high)[0, high])
 
 
 def _truncated_rows(first: int, last: int, work: float, policy: TruncationPolicy):
@@ -254,11 +244,8 @@ def _truncated_rows(first: int, last: int, work: float, policy: TruncationPolicy
     names the row that leaves out most mass if that exceeds
     :data:`MASS_DEFICIT_TOL`.
     """
-    _check_work(work)
     if policy.top is not None:
-        if policy.top < last:
-            raise ValueError("the fixed top must reach the initial level")
-        p = _transition_block(first, last, work, policy.top)
+        p = transition_block(first, last, work, policy.top)
         captured = p.sum(axis=1)
         short = int(captured.argmin())
         if 1.0 - captured[short] > MASS_DEFICIT_TOL:
@@ -270,27 +257,28 @@ def _truncated_rows(first: int, last: int, work: float, policy: TruncationPolicy
                 stacklevel=3,
             )
         return p, np.full(p.shape[0], p.shape[1]), captured
-    if policy.hard_cap < last:
-        raise TruncationError(f"hard cap {policy.hard_cap} is below level {last}")
+    if HARD_CAP < last:
+        raise TruncationError(f"hard cap {HARD_CAP} is below level {last}")
+    _check_work(work)
     target = 1.0 - policy.tail_mass
     top = min(
         int(last + work + 12.0 * math.sqrt((last + 0.5) * work + 1.0) + 30.0),
-        policy.hard_cap,
+        HARD_CAP,
     )
     while True:
-        p = _transition_block(first, last, work, top)
+        p = transition_block(first, last, work, top)
         cumulative = np.cumsum(p, axis=1)
         lengths = np.sum(cumulative < target, axis=1) + 1
         if lengths.max() <= top:
             break
-        if top >= policy.hard_cap:
+        if top >= HARD_CAP:
             short = int(lengths.argmax())
             raise TruncationError(
                 f"mass {cumulative[short, -1]:.15f} below target {target:.15f} "
-                f"at the hard cap {policy.hard_cap} (level={first + short}, "
+                f"at the hard cap {HARD_CAP} (level={first + short}, "
                 f"work={work})"
             )
-        top = min(2 * top + 16, policy.hard_cap)
+        top = min(2 * top + 16, HARD_CAP)
     p[np.arange(top + 1) >= lengths[:, None]] = 0.0
     return p, lengths, cumulative[np.arange(lengths.size), lengths - 1]
 
@@ -321,6 +309,14 @@ def microcanonical_stats(level: int, work: float,
     return QuantumStats(mean, variance, entropy)
 
 
+def level_entropies(last: int, work: float,
+                    policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Row entropies ``sum_m p(n -> m) ln(m + 1/2)`` for n = 0..last,
+    reduced over one block of rows cut by ``policy``."""
+    p, _, _ = _truncated_rows(0, last, work, policy)
+    return p @ np.log(np.arange(p.shape[1]) + 0.5)
+
+
 def canonical_entropy_change(inv_temperature: float, work: float,
                              level_cutoff: int,
                              policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -336,10 +332,8 @@ def canonical_entropy_change(inv_temperature: float, work: float,
         raise ValueError("inverse temperature must be positive and finite")
     if level_cutoff < 1:
         raise ValueError("level_cutoff must be >= 1")
-    p, _, _ = _truncated_rows(0, level_cutoff, work, policy)
-    log_volume = np.log(np.arange(p.shape[1]) + 0.5)
     levels = np.arange(level_cutoff + 1)
-    gains = p @ log_volume - log_volume[levels]
+    gains = level_entropies(level_cutoff, work, policy) - np.log(levels + 0.5)
     weights = (1.0 - math.exp(-inv_temperature)) * np.exp(-inv_temperature * levels)
     return float(weights @ gains)
 
@@ -351,7 +345,8 @@ def canonical_tail_bound(inv_temperature: float, work: float,
     Uses concavity (entropy gain of level n is at most
     ``ln(1 + work/(n + 1/2))``) and the exact geometric remainder.
     """
-    if inv_temperature <= 0.0:
-        raise ValueError("inverse temperature must be positive")
+    if not 0.0 < inv_temperature < math.inf:
+        raise ValueError("inverse temperature must be positive and finite")
+    _check_work(work)
     gain_cap = math.log1p(work / (level_cutoff + 1.5))
     return math.exp(-inv_temperature * (level_cutoff + 1)) * gain_cap

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.special import exp1
 
+from qentropy import quantum
 from qentropy.classical import (
     HalfSineDrive,
     KernelSupport,
@@ -387,3 +388,31 @@ class TestSampling:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             sample_final_volumes(1.0, WorkDescriptor.from_response(1.0), 1.0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (canonical_entropy_change, (math.nan, 1.0)),
+        (canonical_entropy_change, (2.0, math.nan)),
+        (canonical_entropy_change, (2.0, math.inf)),
+        (canonical_entropy_change, (math.inf, 1.0)),
+        (microcanonical_stats, (1.0, math.inf)),
+        (microcanonical_stats, (math.nan, 1.0)),
+        (microcanonical_quadrature, (math.nan, 1.0, 64)),
+        (microcanonical_quadrature, (1.0, math.inf, 64)),
+        (kernel_support, (1.0, math.nan)),
+        (kernel_support, (math.inf, 1.0)),
+        (final_volume, (math.nan, 0.0, WorkDescriptor.from_response(1.0), 1.0)),
+        (kernel_density, (1.0, math.nan, 1.0)),
+        (kernel_density, (1.0, 1.0, math.inf)),
+        (quantum.canonical_tail_bound, (math.nan, 1.0, 10)),
+        (quantum.canonical_tail_bound, (2.0, math.inf, 10)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else ",".join(
+        str(a) for a in v if isinstance(a, (int, float))
+    ),
+)
+def test_non_finite_input_rejected(func, args):
+    with pytest.raises(ValueError):
+        func(*args)

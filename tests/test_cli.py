@@ -69,8 +69,13 @@ class TestFig1:
                 main, ["fig1", "--n-trunc", "900", "--output", str(out)]
             )
         assert result.exit_code == 0
-        assert any("level 900 keeps mass 0.658" in str(w.message)
-                   and "fixed top 1000" in str(w.message) for w in caught)
+        # one block, so one warning, naming the worst row
+        truncation = [w for w in caught
+                      if issubclass(w.category, quantum.TruncationWarning)]
+        assert len(truncation) == 1
+        message = str(truncation[0].message)
+        assert "level 900 keeps mass 0.658" in message
+        assert "fixed top 1000" in message
 
 
 class TestFig2:
@@ -193,6 +198,24 @@ def test_rejects_non_finite_options(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--output", str(out)])
     assert result.exit_code == 2
     assert "not a finite number" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fig1", "--n-trunc", "1001"],
+        ["fig2", "--level", "1001", "--t-max", "1"],
+        ["fig3", "--n-trunc", "1001", "--t-max", "1"],
+        ["fig2", "--level", "6000", "--m-trunc", "0", "--t-max", "1"],
+    ],
+    ids=["fig1-fixed", "fig2-fixed", "fig3-fixed", "fig2-adaptive"],
+)
+def test_rejects_level_above_the_truncation(runner, tmp_path, args):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 2
+    assert "initial level" in result.output
     assert not out.exists()
 
 

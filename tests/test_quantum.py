@@ -12,6 +12,7 @@ from qentropy.quantum import (
     canonical_entropy_change,
     canonical_tail_bound,
     charlier_direct,
+    level_entropies,
     microcanonical_stats,
     transition_probability,
     transition_row,
@@ -151,7 +152,7 @@ class TestTransitionBlock:
         # both sides of the diagonal, up to level 150; at work 0.1 the
         # high levels run through the rescaling.  Entries below the
         # normal float range are compared absolutely.
-        block = quantum._transition_block(0, 150, work, 160)
+        block = quantum.transition_block(0, 150, work, 160)
         for n in self.LEVELS:
             for m in np.r_[self.LEVELS, 155, 160]:
                 np.testing.assert_allclose(
@@ -161,25 +162,25 @@ class TestTransitionBlock:
 
     @pytest.mark.parametrize("work", WORKS)
     def test_square_part_exactly_symmetric(self, work):
-        square = quantum._transition_block(0, 150, work, 160)[:, :151]
+        square = quantum.transition_block(0, 150, work, 160)[:, :151]
         assert np.array_equal(square, square.T)
 
     @pytest.mark.parametrize("work", WORKS)
     def test_row_ranges_are_rows_of_the_full_block(self, work):
-        full = quantum._transition_block(0, 150, work, 160)
+        full = quantum.transition_block(0, 150, work, 160)
         for first, last in ((0, 0), (37, 37), (150, 150), (100, 150)):
-            part = quantum._transition_block(first, last, work, 160)
+            part = quantum.transition_block(first, last, work, 160)
             assert np.array_equal(part, full[first : last + 1])
 
     @pytest.mark.parametrize("work", WORKS)
     def test_doubly_stochastic(self, work):
-        block = quantum._transition_block(0, 800, work, 800)
+        block = quantum.transition_block(0, 800, work, 800)
         np.testing.assert_allclose(block[:41].sum(axis=1), 1.0, atol=1e-10)
         np.testing.assert_allclose(block[:, :41].sum(axis=0), 1.0, atol=1e-10)
 
     def test_undriven_block_is_identity(self):
         assert np.array_equal(
-            quantum._transition_block(3, 5, 0.0, 8), np.eye(3, 9, k=3)
+            quantum.transition_block(3, 5, 0.0, 8), np.eye(3, 9, k=3)
         )
 
 
@@ -202,8 +203,9 @@ class TestTransitionRow:
         assert float(m @ row.probabilities) == pytest.approx(12.0, rel=1e-9)
 
     def test_hard_cap_raises(self):
+        # the row out of level 0 at work 4800 needs levels past the cap
         with pytest.raises(TruncationError):
-            transition_row(0, 10.0, TruncationPolicy(tail_mass=1e-12, hard_cap=12))
+            transition_row(0, 4800.0)
 
     def test_normalization_grid(self):
         for work in (0.1, 1.0, 10.0, RESONANT_WORK):
@@ -219,8 +221,6 @@ class TestTransitionRow:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TruncationPolicy(tail_mass=0.0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(hard_cap=0)
 
     def test_fixed_top_validation(self):
         with pytest.raises(ValueError):
@@ -232,7 +232,7 @@ class TestTransitionRow:
 
     def test_hard_cap_below_level_raises(self):
         with pytest.raises(TruncationError):
-            transition_row(20, 1.0, TruncationPolicy(hard_cap=12))
+            transition_row(quantum.HARD_CAP + 1, 1.0)
 
 
 class TestMicrocanonicalStats:
@@ -295,6 +295,18 @@ class TestMicrocanonicalStats:
         adaptive = microcanonical_stats(2, 10.0)
         fixed = microcanonical_stats(2, 10.0, TruncationPolicy(top=1000))
         assert fixed.entropy == pytest.approx(adaptive.entropy, abs=1e-10)
+
+
+class TestLevelEntropies:
+    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, TruncationPolicy(top=1000)],
+                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("work", [0.1, 10.0, RESONANT_WORK])
+    def test_match_row_entropies(self, work, policy):
+        entropies = level_entropies(40, work, policy)
+        assert entropies.shape == (41,)
+        for level, entropy in enumerate(entropies):
+            expected = microcanonical_stats(level, work, policy).entropy
+            assert abs(entropy - expected) <= 1e-14
 
 
 class TestLogFactorials:
