@@ -23,7 +23,6 @@ forms; arbitrary pulses enter as tabulated samples.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,9 +46,9 @@ _QUAD_ERROR_BOUND = 1e-8
 _CANONICAL_N_HALF = 256
 
 
-def _check_duration(duration: float) -> None:
-    if not 0.0 < duration < math.inf:
-        raise ValueError("duration must be positive and finite")
+def _check_duration(duration) -> None:
+    if not np.all((0.0 < np.asarray(duration)) & (np.asarray(duration) < math.inf)):
+        raise ValueError("every duration must be positive and finite")
 
 
 def _check_non_negative(*values: float) -> None:
@@ -117,7 +116,7 @@ class WorkDescriptor:
 
     @classmethod
     def from_response(cls, response: complex) -> "WorkDescriptor":
-        work = 0.5 * abs(response) ** 2
+        work = float(_work(response.real, response.imag))
         phase = math.atan2(response.imag, response.real)
         if phase == -math.pi:  # keep phase in (-pi, pi]
             phase = math.pi
@@ -137,20 +136,27 @@ class MicrocanonicalStats(NamedTuple):
     log_mean: float
 
 
-def _half_sine_response(amplitude: float, duration: float) -> complex:
-    eps = duration - math.pi
-    if abs(eps) < SERIES_WINDOW:
-        # (exp(i*eps) - 1)/eps by series; exact to machine eps in the window
-        z = 1j * eps
-        series = 1j * (1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0 + z**4 / 120.0)
-        return amplitude * math.pi * duration * series / (2.0 * math.pi + eps)
-    return (
-        amplitude
-        * math.pi
-        * duration
-        * (1.0 + cmath.exp(1j * duration))
-        / (math.pi**2 - duration**2)
-    )
+def _work(real, imag):
+    return 0.5 * np.hypot(real, imag) ** 2
+
+
+def _half_sine_response(amplitude: float, duration):
+    """Real and imaginary parts of ``a pi T (1 + exp(iT)) / (pi**2 - T**2)``
+    per duration T, in that operation order, and within :data:`SERIES_WINDOW`
+    of its 0/0 at T = pi the series of ``(exp(i eps) - 1)/eps``, eps = T - pi."""
+    t = np.asarray(duration, dtype=float)
+    scale = amplitude * math.pi * t
+    eps = t - math.pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = math.pi**2 - t**2
+        real = scale * (1.0 + np.cos(t)) / gap
+        imag = scale * np.sin(t) / gap
+        e2 = eps * eps
+        near = 2.0 * math.pi + eps
+        series_real = scale * -(eps / 2.0 - eps * e2 / 24.0) / near
+        series_imag = scale * (1.0 - e2 / 6.0 + e2 * e2 / 120.0) / near
+    series = np.abs(eps) < SERIES_WINDOW
+    return np.where(series, series_real, real), np.where(series, series_imag, imag)
 
 
 def _simpson(y: np.ndarray, h: float) -> complex:
@@ -177,9 +183,8 @@ def drive_response(drive) -> WorkDescriptor:
     Simpson quadrature at the grid resolution.
     """
     if isinstance(drive, HalfSineDrive):
-        return WorkDescriptor.from_response(
-            _half_sine_response(drive.amplitude, drive.duration)
-        )
+        real, imag = _half_sine_response(drive.amplitude, drive.duration)
+        return WorkDescriptor.from_response(complex(real, imag))
     if isinstance(drive, TabulatedDrive):
         grid = np.linspace(0.0, drive.duration, drive.samples.size)
         integrand = drive.samples * np.exp(1j * grid)
@@ -199,37 +204,28 @@ def _work_half_sine_direct(amplitude: float, duration: float) -> float:
     )
 
 
-def work_half_sine(amplitude: float, duration: float) -> float:
-    """Work done by the half-sine pulse as a function of its duration.
-
-    The work of :func:`drive_response`, equal to
-    ``amplitude**2 pi**2 T**2 (1 + cos T) / (pi**2 - T**2)**2`` and to
-    ``amplitude**2 pi**2 / 8`` at T = pi.
-    """
-    return drive_response(HalfSineDrive(amplitude, duration)).work
+def work_half_sine(amplitude: float, durations):
+    """Work done by the half-sine pulse: a float for one duration, an
+    array of the same shape for an array of them.  The work of
+    :func:`drive_response`, equal to ``amplitude**2 pi**2 T**2 (1 + cos T)
+    / (pi**2 - T**2)**2`` and to ``amplitude**2 pi**2 / 8`` at T = pi."""
+    if not math.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
+    _check_duration(durations)
+    works = _work(*_half_sine_response(amplitude, durations))
+    return works if works.ndim else float(works)
 
 
 def work_bound_coefficient(points: int = 400_000, t_max: float = 200.0) -> float:
-    """Recompute sup_T work/amplitude**2 by scan plus golden refinement.
+    """Recompute sup_T work/amplitude**2 (:data:`WORK_BOUND_COEFFICIENT`).
 
-    Derivation of :data:`WORK_BOUND_COEFFICIENT`; the supremum sits near
-    duration 4.2953, away from the removable singularity at pi.
-    """
+    Two scans of ``points`` durations each: one over [1e-3, t_max], then
+    one between the neighbours of its maximum, whose largest work is
+    returned.  The supremum sits near duration 4.2953, away from pi."""
     grid = np.linspace(1e-3, t_max, points)
-    vals = np.array([work_half_sine(1.0, t) for t in grid])
-    i = int(vals.argmax())
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    while b - a > 1e-12:
-        if work_half_sine(1.0, c) > work_half_sine(1.0, d):
-            b, d = d, c
-            c = b - inv_phi * (b - a)
-        else:
-            a, c = c, d
-            d = a + inv_phi * (b - a)
-    return work_half_sine(1.0, 0.5 * (a + b))
+    i = int(work_half_sine(1.0, grid).argmax())
+    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], points)
+    return float(work_half_sine(1.0, fine).max())
 
 
 def kernel_support(initial_volume: float, work: float) -> KernelSupport:

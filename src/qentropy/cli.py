@@ -95,7 +95,17 @@ def _truncation(m_trunc: int, tail_mass: float, level: int) -> quantum.Truncatio
         raise click.BadParameter(f"--tail-mass: {exc}") from exc
 
 
-@click.group()
+class _Commands(click.Group):
+    """Reports a row that reaches the hard cap as a one-line error, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except quantum.TruncationError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 def main():
     """Entropy growth of the driven oscillator: figure data and checks."""
 
@@ -153,13 +163,13 @@ def fig2(amplitude, level, t_min, t_max, t_step, m_trunc, tail_mass, output):
     grid = _duration_grid(t_min, t_max, t_step)
     policy = _truncation(m_trunc, tail_mass, level)
     start_volume = level + 0.5
+    works = classical.work_half_sine(amplitude, grid)
     rows = []
-    for duration in grid:
-        work = classical.work_half_sine(amplitude, float(duration))
+    for duration, work in zip(grid.tolist(), works.tolist()):
         classical_delta = math.log(max(start_volume, work)) - math.log(start_volume)
         stats = quantum.microcanonical_stats(level, work, policy)
         quantum_delta = stats.entropy - math.log(start_volume)
-        rows.append((float(duration), work, classical_delta, quantum_delta))
+        rows.append((duration, work, classical_delta, quantum_delta))
     _write_csv(
         output, "fig2",
         {"amplitude": amplitude, "level": level, "t-min": t_min, "t-max": t_max,
@@ -197,15 +207,13 @@ def fig3(amplitude, beta, n_trunc, t_min, t_max, t_step, m_trunc, tail_mass,
         raise click.BadParameter("--n-trunc must be >= 1")
     grid = _duration_grid(t_min, t_max, t_step)
     policy = _truncation(m_trunc, tail_mass, n_trunc)
+    works = classical.work_half_sine(amplitude, grid)
     rows = []
-    max_work = 0.0
-    for duration in grid:
-        work = classical.work_half_sine(amplitude, float(duration))
-        max_work = max(max_work, work)
+    for duration, work in zip(grid.tolist(), works.tolist()):
         classical_delta = classical.canonical_entropy_change(beta, work)
         quantum_delta = quantum.canonical_entropy_change(beta, work, n_trunc, policy)
-        rows.append((float(duration), work, classical_delta, quantum_delta))
-    tail = quantum.canonical_tail_bound(beta, max_work, n_trunc)
+        rows.append((duration, work, classical_delta, quantum_delta))
+    tail = quantum.canonical_tail_bound(beta, float(works.max()), n_trunc)
     _write_csv(
         output, "fig3",
         {"amplitude": amplitude, "beta": beta, "n-trunc": n_trunc,

@@ -148,17 +148,18 @@ def _check_work(work: float) -> None:
 def _charlier_sweep(args: np.ndarray, work: float, top_degree: int):
     """Yield c_k(args; work) for k = 0..top_degree as (mantissa, log scale).
 
-    The value is ``mantissa * exp(log scale)``; both arrays are fresh at
-    every step, so callers may keep them.
+    The value is ``mantissa * exp(log scale)``; callers may keep both
+    arrays.  A step divides by the work, which can overflow for tiny
+    work, so below work 1e-100 the mantissa is ``c_k * work**k``.
     """
+    q, divisor = (work, 1.0) if work < 1e-100 else (1.0, work)
     c_prev, c, shift = np.ones_like(args), np.ones_like(args), np.zeros_like(args)
     yield c, shift
-    if top_degree > 0:
-        c = 1.0 - args / work
-        yield c, shift
-    for k in range(1, top_degree):
-        c_next = ((k + work - args) * c - k * c_prev) / work
-        c_prev, c = c, c_next
+    for k in range(top_degree):
+        if k == 0:
+            c_prev, c = c, q - args / divisor
+        else:
+            c_prev, c = c, ((k + work - args) * c - k * q * c_prev) / divisor
         mag = np.maximum(np.abs(c), np.abs(c_prev))
         rescale = (mag > _RESCALE_HI) | ((mag > 0.0) & (mag < _RESCALE_LO))
         if rescale.any():
@@ -166,6 +167,8 @@ def _charlier_sweep(args: np.ndarray, work: float, top_degree: int):
             c = c / factor
             c_prev = c_prev / factor
             shift = shift + np.where(rescale, np.log(factor), 0.0)
+        if q != 1.0:
+            shift = shift - math.log(q)
         yield c, shift
 
 

@@ -54,18 +54,8 @@ class PropagatorResult:
         object.__setattr__(self, "matrix", m)
 
 
-def hamiltonian_matrix(time: float, drive, dim: int) -> np.ndarray:
-    """Driven-oscillator Hamiltonian in the number basis at one instant.
-
-    Diagonal entries n + 1/2; the position operator couples neighbours
-    with <n|x|n+1> = sqrt((n+1)/2), scaled by the instantaneous force.
-    """
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    return np.diag(np.arange(dim) + 0.5) + float(drive.force(time)) * _position(dim)
-
-
 def _position(dim: int) -> np.ndarray:
+    """Position operator in the number basis: <n|x|n+1> = sqrt((n+1)/2)."""
     coupling = np.sqrt((np.arange(dim - 1) + 1.0) / 2.0)
     return np.diag(coupling, 1) + np.diag(coupling, -1)
 

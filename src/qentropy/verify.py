@@ -217,7 +217,7 @@ def thomson_bound() -> CheckResult:
     """Work is non-negative and below the envelope bound at every duration."""
     amplitude = 6.0
     durations = np.arange(1, 1201) * 0.05
-    works = np.array([classical.work_half_sine(amplitude, t) for t in durations])
+    works = classical.work_half_sine(amplitude, durations)
     cap = classical.WORK_BOUND_COEFFICIENT * amplitude**2
     passed = bool(works.min() >= 0.0 and works.max() <= cap)
     return CheckResult(

@@ -135,7 +135,22 @@ class TestWorkHalfSine:
     def test_matches_response_work(self):
         for duration in (0.5, 2.0, math.pi, 7.0, 29.75):
             fro = drive_response(HalfSineDrive(6.0, duration)).work
-            assert work_half_sine(6.0, duration) == pytest.approx(fro, rel=1e-10)
+            assert work_half_sine(6.0, duration) == fro
+
+    def test_array_of_durations(self):
+        grid = np.arange(1, 121).reshape(4, 30) * 0.25
+        works = work_half_sine(6.0, grid)
+        assert isinstance(works, np.ndarray)
+        assert works.shape == grid.shape
+        scalar = np.array([work_half_sine(6.0, t) for t in grid.ravel().tolist()])
+        assert np.abs(works.ravel() - scalar).max() <= 4e-15 * 6.0**2
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+    def test_array_rejects_one_bad_duration(self, bad):
+        grid = np.linspace(0.5, 10.0, 20)
+        grid[7] = bad
+        with pytest.raises(ValueError):
+            work_half_sine(6.0, grid)
 
     def test_nonnegative_and_bounded(self):
         durations = np.arange(1, 2001) * 0.03

@@ -219,6 +219,25 @@ def test_rejects_level_above_the_truncation(runner, tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fig1", "--work", "4800", "--n-trunc", "0", "--m-trunc", "0"],
+        ["fig2", "--amplitude", "80", "--m-trunc", "0"],
+    ],
+    ids=["fig1", "fig2"],
+)
+def test_truncation_error_is_one_line(runner, tmp_path, args):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: mass ")
+    assert f"hard cap {quantum.HARD_CAP}" in result.output
+    assert result.output.count("\n") == 1
+    assert not out.exists()
+
+
 def test_rejects_out_of_range_tail_mass(runner, tmp_path):
     result = runner.invoke(main, ["fig1", "--m-trunc", "0", "--tail-mass", "2",
                                   "--output", str(tmp_path / "bad.csv")])

@@ -1,0 +1,81 @@
+"""Property-based checks of the identities the figures rest on."""
+
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qentropy import classical, quantum
+from qentropy.majorization import (
+    ProbabilityVector,
+    entropy_change,
+    evolve_distribution,
+    random_unistochastic,
+)
+
+WORKS = st.floats(min_value=0.0, max_value=60.0)
+
+
+def populations(min_size=2, max_size=32):
+    weights = st.lists(st.floats(min_value=0.0, max_value=1.0),
+                       min_size=min_size, max_size=max_size)
+    return weights.filter(lambda w: sum(w) > 1e-3)
+
+
+def normalized(weights):
+    w = np.asarray(weights)
+    return w / w.sum()
+
+
+@given(st.integers(2, 32).flatmap(
+    lambda dim: st.tuples(populations(dim, dim), populations(dim, dim))))
+def test_byparts_identity(pair):
+    p, q = (ProbabilityVector(normalized(w)) for w in pair)
+    report = entropy_change(p, q)
+    assert abs(report.delta_direct - report.delta_by_parts) <= 1e-10
+
+
+@given(populations(), st.integers(0, 2**32 - 1))
+def test_theorem_positivity(weights, seed):
+    p = ProbabilityVector(np.sort(normalized(weights))[::-1])
+    d = random_unistochastic(len(p), seed)
+    report = entropy_change(p, evolve_distribution(p, d))
+    assert report.delta_direct >= -1e-12
+    assert report.min_cumulative_gap >= -1e-12
+
+
+@given(st.integers(0, 60), st.floats(min_value=0.0, max_value=200.0))
+def test_square_block_exactly_symmetric(top, work):
+    block = quantum.transition_block(0, top, work, top)
+    assert np.array_equal(block, block.T)
+
+
+@given(st.integers(0, 8), WORKS)
+def test_block_row_sums_tend_to_one(last, work):
+    spread = 12.0 * math.sqrt((2 * last + 1) * work + 1.0)
+    tops = [last, last + int(work), last + int(work + spread) + 30]
+    sums = np.array([quantum.transition_block(0, last, work, top).sum(axis=1)
+                     for top in tops])
+    assert np.all(np.diff(sums, axis=0) >= -1e-15)
+    assert np.abs(sums[-1] - 1.0).max() <= 1e-10
+
+
+def near(center, width):
+    return st.floats(min_value=center - width, max_value=center + width)
+
+
+DURATIONS = st.one_of(
+    st.floats(min_value=1e-3, max_value=200.0),
+    near(math.pi, 2.0 * classical.SERIES_WINDOW),
+    st.integers(1, 20).flatmap(lambda k: near((2 * k + 1) * math.pi, 1e-3)),
+)
+
+
+@given(st.floats(min_value=0.01, max_value=100.0),
+       st.lists(DURATIONS, min_size=1, max_size=40))
+def test_work_table_matches_scalar(amplitude, durations):
+    table = classical.work_half_sine(amplitude, np.array(durations))
+    scalar = np.array([classical.work_half_sine(amplitude, t) for t in durations])
+    assert table.shape == scalar.shape
+    assert np.abs(table - scalar).max() <= 4e-15 * amplitude**2

@@ -183,6 +183,18 @@ class TestTransitionBlock:
             quantum.transition_block(3, 5, 0.0, 8), np.eye(3, 9, k=3)
         )
 
+    @pytest.mark.parametrize("work", [1e-99, 1e-101, 1e-200, 5e-324])
+    def test_tiny_work(self, work):
+        # the recurrence divides by the work at every step; below 1e-100
+        # the sweep carries c_k w**k instead, so nothing overflows
+        block = quantum.transition_block(0, 8, work, 30)
+        assert np.array_equal(block[:, :9], block[:, :9].T)
+        np.testing.assert_allclose(block.sum(axis=1), 1.0, atol=1e-10)
+        levels = np.arange(1, 9)
+        # p(n-1 -> n) = n w + O(w**2)
+        np.testing.assert_allclose(block[levels - 1, levels] / work, levels,
+                                   rtol=1e-10)
+
 
 class TestTransitionRow:
     def test_poisson_row_extension(self):

@@ -10,35 +10,24 @@ from qentropy.schrodinger import (
     BasisLeakWarning,
     PropagatorResult,
     UnitarityError,
-    hamiltonian_matrix,
+    _position,
     numeric_transition_row,
     propagate,
 )
 
 
 class TestHamiltonianMatrix:
-    def test_free_oscillator_spectrum(self):
-        drive = HalfSineDrive(0.0, 2.0)
-        h = hamiltonian_matrix(1.0, drive, 5)
-        assert np.array_equal(h, np.diag(np.arange(5) + 0.5))
-
     def test_unit_force_coupling(self):
-        drive = HalfSineDrive(1.0, 2.0)
-        h = hamiltonian_matrix(1.0, drive, 2)  # f = 1 at the peak
+        h = np.diag([0.5, 1.5]) + _position(2)  # H at unit force
         expected = np.array([[0.5, 1.0 / math.sqrt(2.0)],
                              [1.0 / math.sqrt(2.0), 1.5]])
         assert np.allclose(h, expected, atol=1e-15)
 
     def test_symmetric_tridiagonal(self):
-        drive = HalfSineDrive(3.0, 4.0)
-        h = hamiltonian_matrix(0.7, drive, 12)
-        assert np.array_equal(h, h.T)
-        beyond = np.triu(h, 2)
+        x = _position(12)
+        assert np.array_equal(x, x.T)
+        beyond = np.triu(x, 2)
         assert np.all(beyond == 0.0)
-
-    def test_rejects_small_dim(self):
-        with pytest.raises(ValueError):
-            hamiltonian_matrix(0.0, HalfSineDrive(1.0, 1.0), 1)
 
 
 class TestPropagate:
