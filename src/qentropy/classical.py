@@ -17,8 +17,8 @@ transition kernel between volumes, its first two moments (v + w and
 2*v*w), and the log-average ln(max(v, w)), which is the microcanonical
 entropy after the drive.
 
-Half-sine pulses f(t) = amplitude*sin(pi*t/duration) admit closed
-forms; arbitrary pulses enter as tabulated samples.
+The drive is the half-sine pulse f(t) = amplitude*sin(pi*t/duration),
+whose response has a closed form.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ import numpy as np
 
 from .quadrature import QuadratureWarning, integrate_left_singular, periodic_average
 
-#: Series branch half-width around duration = pi where the closed-form
-#: half-sine response degenerates to 0/0; the direct formula loses ~6
-#: digits inside this window.
-SERIES_WINDOW = 1e-3
+#: pi minus its nearest double, so ``(math.pi - T) + _PI_LOW`` is the
+#: true ``pi - T`` to within one rounding.
+_PI_LOW = 1.2246467991473532e-16
 
 #: sup over durations of work/amplitude**2 for the half-sine pulse,
 #: attained near duration 4.2953; recomputed by
@@ -78,35 +77,6 @@ class HalfSineDrive:
 
 
 @dataclass(frozen=True)
-class TabulatedDrive:
-    """Force sampled on a uniform grid over [0, duration]; zero outside."""
-
-    samples: np.ndarray
-    duration: float
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 1 or s.size < 3:
-            raise ValueError("need at least 3 samples")
-        if not np.isfinite(s).all():
-            raise ValueError("samples must be finite")
-        _check_duration(self.duration)
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    def force(self, t):
-        t = np.asarray(t, dtype=float)
-        grid = np.linspace(0.0, self.duration, self.samples.size)
-        out = np.where(
-            (t >= 0.0) & (t <= self.duration),
-            np.interp(t, grid, self.samples),
-            0.0,
-        )
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
 class WorkDescriptor:
     """Drive response at the oscillator frequency and derived work/phase."""
 
@@ -142,55 +112,26 @@ def _work(real, imag):
 
 def _half_sine_response(amplitude: float, duration):
     """Real and imaginary parts of ``a pi T (1 + exp(iT)) / (pi**2 - T**2)``
-    per duration T, in that operation order, and within :data:`SERIES_WINDOW`
-    of its 0/0 at T = pi the series of ``(exp(i eps) - 1)/eps``, eps = T - pi."""
+    per duration T, written with the exact identity ``1 + exp(iT) =
+    2 cos(T/2) exp(iT/2)`` as ``a pi T 2 cos(T/2) exp(iT/2) / ((pi - T)
+    (pi + T))``, which cancels nowhere.  Near T = pi, ``cos(T/2)`` and
+    ``pi - T`` both vanish like the distance to the true pi; ``pi - T``
+    carries the low part of pi, so it is never 0 for a float T and the
+    quotient stays accurate with no branch."""
     t = np.asarray(duration, dtype=float)
-    scale = amplitude * math.pi * t
-    eps = t - math.pi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = math.pi**2 - t**2
-        real = scale * (1.0 + np.cos(t)) / gap
-        imag = scale * np.sin(t) / gap
-        e2 = eps * eps
-        near = 2.0 * math.pi + eps
-        series_real = scale * -(eps / 2.0 - eps * e2 / 24.0) / near
-        series_imag = scale * (1.0 - e2 / 6.0 + e2 * e2 / 120.0) / near
-    series = np.abs(eps) < SERIES_WINDOW
-    return np.where(series, series_real, real), np.where(series, series_imag, imag)
-
-
-def _simpson(y: np.ndarray, h: float) -> complex:
-    """Composite Simpson sum of samples ``y`` spaced ``h`` apart.
-
-    An even sample count takes Simpson's rule on the first n - 1 points
-    and, on the final interval, the parabola through the last three
-    points (Cartwright's correction).
-    """
-    odd = y[: y.size - 1 + y.size % 2]
-    total = h / 3.0 * (
-        odd[0] + 4.0 * odd[1:-1:2].sum() + 2.0 * odd[2:-1:2].sum() + odd[-1]
+    half = 0.5 * t
+    cos_half = np.cos(half)
+    scale = amplitude * math.pi * t * 2.0 * cos_half / (
+        ((math.pi - t) + _PI_LOW) * (math.pi + t)
     )
-    if y.size % 2 == 0:
-        total += h * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
-    return complex(total)
+    return scale * cos_half, scale * np.sin(half)
 
 
-def drive_response(drive) -> WorkDescriptor:
-    """Fourier-type response of the drive at the oscillator frequency.
-
-    Half-sine drives use the closed form (with a series branch near
-    duration = pi where it becomes 0/0); tabulated drives use composite
-    Simpson quadrature at the grid resolution.
-    """
-    if isinstance(drive, HalfSineDrive):
-        real, imag = _half_sine_response(drive.amplitude, drive.duration)
-        return WorkDescriptor.from_response(complex(real, imag))
-    if isinstance(drive, TabulatedDrive):
-        grid = np.linspace(0.0, drive.duration, drive.samples.size)
-        integrand = drive.samples * np.exp(1j * grid)
-        step = drive.duration / (drive.samples.size - 1)
-        return WorkDescriptor.from_response(_simpson(integrand, step))
-    raise TypeError(f"unsupported drive type: {type(drive).__name__}")
+def drive_response(drive: HalfSineDrive) -> WorkDescriptor:
+    """Fourier-type response of the half-sine drive at the oscillator
+    frequency, in closed form."""
+    real, imag = _half_sine_response(drive.amplitude, drive.duration)
+    return WorkDescriptor.from_response(complex(real, imag))
 
 
 def _work_half_sine_direct(amplitude: float, duration: float) -> float:

@@ -79,6 +79,15 @@ def _duration_grid(t_min: float, t_max: float, t_step: float) -> np.ndarray:
     return t_min + t_step * np.arange(count)
 
 
+def _works(amplitude: float, grid: np.ndarray) -> np.ndarray:
+    """Half-sine work at every duration of the grid; it must fit a float."""
+    with np.errstate(over="ignore"):
+        works = classical.work_half_sine(amplitude, grid)
+    if not np.isfinite(works).all():
+        raise click.BadParameter(f"--amplitude {amplitude:g} makes the work overflow")
+    return works
+
+
 def _truncation(m_trunc: int, tail_mass: float, level: int) -> quantum.TruncationPolicy:
     """Fixed cut at m_trunc > 0, else adaptive; either must reach ``level``."""
     if m_trunc < 0:
@@ -163,7 +172,7 @@ def fig2(amplitude, level, t_min, t_max, t_step, m_trunc, tail_mass, output):
     grid = _duration_grid(t_min, t_max, t_step)
     policy = _truncation(m_trunc, tail_mass, level)
     start_volume = level + 0.5
-    works = classical.work_half_sine(amplitude, grid)
+    works = _works(amplitude, grid)
     rows = []
     for duration, work in zip(grid.tolist(), works.tolist()):
         classical_delta = math.log(max(start_volume, work)) - math.log(start_volume)
@@ -207,7 +216,7 @@ def fig3(amplitude, beta, n_trunc, t_min, t_max, t_step, m_trunc, tail_mass,
         raise click.BadParameter("--n-trunc must be >= 1")
     grid = _duration_grid(t_min, t_max, t_step)
     policy = _truncation(m_trunc, tail_mass, n_trunc)
-    works = classical.work_half_sine(amplitude, grid)
+    works = _works(amplitude, grid)
     rows = []
     for duration, work in zip(grid.tolist(), works.tolist()):
         classical_delta = classical.canonical_entropy_change(beta, work)

@@ -99,25 +99,22 @@ def propagate(drive, dim: int, steps: int) -> PropagatorResult:
     return PropagatorResult(u, defect, dim, steps)
 
 
-def numeric_transition_row(level: int, drive, dim: int, steps: int,
-                           propagator: PropagatorResult | None = None) -> np.ndarray:
-    """Transition probabilities out of ``level`` from the propagator.
+def numeric_transition_row(level: int, propagator: PropagatorResult) -> np.ndarray:
+    """Transition probabilities out of ``level`` from a :func:`propagate`
+    result.
 
     The drive is cyclic, so the final eigenbasis coincides with the
     initial number basis and the row is just the squared magnitudes of
-    one propagator column.  ``level`` must stay below ``dim/2`` to keep
-    headroom against truncation reflection; a :class:`BasisLeakWarning`
-    is emitted if more than 1e-8 of the mass sits in the top quarter of
-    the basis.
+    one propagator column.  ``level`` must stay below half the basis
+    size ``propagator.dim`` to keep headroom against truncation
+    reflection; a :class:`BasisLeakWarning` is emitted if more than 1e-8
+    of the mass sits in the top quarter of the basis.
     """
+    dim = propagator.dim
     if level < 0:
         raise ValueError("level must be non-negative")
     if level >= dim / 2:
         raise ValueError(f"level {level} needs dim > {2 * level} for headroom")
-    if propagator is None:
-        propagator = propagate(drive, dim, steps)
-    elif propagator.dim != dim or propagator.steps != steps:
-        raise ValueError("supplied propagator does not match dim/steps")
     row = np.abs(propagator.matrix[:, level]) ** 2
     leaked = float(row[int(math.floor(_LEAK_FLOOR * dim)):].sum())
     if leaked > _LEAK_TOL:

@@ -229,12 +229,12 @@ def thomson_bound() -> CheckResult:
 def oracle_agreement() -> CheckResult:
     """Propagator rows against the Charlier formula on a reduced instance."""
     drive = classical.HalfSineDrive(amplitude=2.0, duration=2.0)
-    work = classical.drive_response(drive).work
+    work = classical.work_half_sine(2.0, 2.0)
     result = schrodinger.propagate(drive, dim=140, steps=600)
     formula = quantum.transition_block(0, 10, work, 10)
     worst = 0.0
     for n in range(11):
-        numeric = schrodinger.numeric_transition_row(n, drive, 140, 600, result)
+        numeric = schrodinger.numeric_transition_row(n, result)
         worst = max(worst, float(np.abs(numeric[:11] - formula[n]).max()))
     return CheckResult(
         "oracle_agreement", worst <= 1e-6, worst, 1e-6,

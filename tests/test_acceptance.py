@@ -113,7 +113,7 @@ def test_criterion_4_oracle_equivalence():
     result = schrodinger.propagate(drive, dim=300, steps=2000)
     worst = 0.0
     for n in range(21):
-        row = schrodinger.numeric_transition_row(n, drive, 300, 2000, result)
+        row = schrodinger.numeric_transition_row(n, result)
         for m in range(21):
             worst = max(
                 worst, abs(row[m] - quantum.transition_probability(n, m, work))

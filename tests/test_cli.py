@@ -238,6 +238,20 @@ def test_truncation_error_is_one_line(runner, tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("figure", ["fig2", "fig3"])
+def test_rejects_amplitude_whose_work_overflows(runner, tmp_path, figure):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, [figure, "--amplitude", "1e200", "--t-max", "1",
+                                  "--output", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1 and "--amplitude" in errors[0]
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_rejects_out_of_range_tail_mass(runner, tmp_path):
     result = runner.invoke(main, ["fig1", "--m-trunc", "0", "--tail-mass", "2",
                                   "--output", str(tmp_path / "bad.csv")])

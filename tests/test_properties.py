@@ -67,7 +67,7 @@ def near(center, width):
 
 DURATIONS = st.one_of(
     st.floats(min_value=1e-3, max_value=200.0),
-    near(math.pi, 2.0 * classical.SERIES_WINDOW),
+    near(math.pi, 2e-3),
     st.integers(1, 20).flatmap(lambda k: near((2 * k + 1) * math.pi, 1e-3)),
 )
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qentropy.classical import HalfSineDrive, TabulatedDrive, drive_response
+from qentropy.classical import HalfSineDrive, drive_response
 from qentropy.quantum import transition_probability
 from qentropy.schrodinger import (
     BasisLeakWarning,
@@ -74,7 +74,7 @@ class TestNumericTransitionRow:
         drive = HalfSineDrive(0.0, 1.5)
         result = propagate(drive, dim=30, steps=120)
         for n in (0, 4, 9):
-            row = numeric_transition_row(n, drive, 30, 120, result)
+            row = numeric_transition_row(n, result)
             expected = np.zeros(30)
             expected[n] = 1.0
             assert np.allclose(row, expected, atol=1e-12)
@@ -82,7 +82,7 @@ class TestNumericTransitionRow:
     def test_ground_state_row_is_poisson(self):
         drive = HalfSineDrive(1.0, 2.0)
         work = drive_response(drive).work
-        row = numeric_transition_row(0, drive, dim=80, steps=1500)
+        row = numeric_transition_row(0, propagate(drive, dim=80, steps=1500))
         for m in range(12):
             poisson = math.exp(-work + m * math.log(work) - math.lgamma(m + 1))
             assert abs(row[m] - poisson) < 1e-6
@@ -93,19 +93,10 @@ class TestNumericTransitionRow:
         result = propagate(drive, dim=140, steps=1200)
         worst = 0.0
         for n in range(11):
-            row = numeric_transition_row(n, drive, 140, 1200, result)
+            row = numeric_transition_row(n, result)
             for m in range(11):
                 worst = max(worst, abs(row[m] - transition_probability(n, m, work)))
         assert worst <= 1e-6
-
-    def test_tabulated_drive_matches_half_sine(self):
-        duration = 2.0
-        grid = np.linspace(0.0, duration, 4001)
-        tabulated = TabulatedDrive(np.sin(math.pi * grid / duration), duration)
-        row_tab = numeric_transition_row(0, tabulated, dim=60, steps=300)
-        row_half = numeric_transition_row(0, HalfSineDrive(1.0, duration),
-                                          dim=60, steps=300)
-        assert np.max(np.abs(row_tab - row_half)) < 1e-7
 
     def test_basis_robustness(self):
         # the low block must not feel the truncation boundary
@@ -118,20 +109,14 @@ class TestNumericTransitionRow:
         assert np.max(diff) <= 1e-8
 
     def test_leak_warning_on_small_basis(self):
-        drive = HalfSineDrive(6.0, 2.0)
+        result = propagate(HalfSineDrive(6.0, 2.0), dim=44, steps=400)
         with pytest.warns(BasisLeakWarning):
-            numeric_transition_row(0, drive, dim=44, steps=400)
+            numeric_transition_row(0, result)
 
     def test_headroom_precondition(self):
-        drive = HalfSineDrive(1.0, 2.0)
+        result = propagate(HalfSineDrive(1.0, 2.0), dim=40, steps=200)
         with pytest.raises(ValueError):
-            numeric_transition_row(20, drive, dim=40, steps=200)
-
-    def test_mismatched_propagator_rejected(self):
-        drive = HalfSineDrive(1.0, 2.0)
-        result = propagate(drive, dim=30, steps=150)
-        with pytest.raises(ValueError):
-            numeric_transition_row(0, drive, 40, 150, result)
+            numeric_transition_row(20, result)
 
     def test_result_matrix_immutable(self):
         result = propagate(HalfSineDrive(0.5, 1.0), dim=20, steps=100)
