@@ -41,6 +41,7 @@ _PI_LOW = 1.2246467991473532e-16
 #: :func:`work_bound_coefficient` and rounded up in the last digit.
 WORK_BOUND_COEFFICIENT = 1.4714850659
 
+_BOUND_SCAN_T_MAX = 200.0  # longest duration work_bound_coefficient scans
 _QUAD_ERROR_BOUND = 1e-8
 _CANONICAL_N_HALF = 256
 
@@ -157,13 +158,13 @@ def work_half_sine(amplitude: float, durations):
     return works if works.ndim else float(works)
 
 
-def work_bound_coefficient(points: int = 400_000, t_max: float = 200.0) -> float:
+def work_bound_coefficient(points: int = 400_000) -> float:
     """Recompute sup_T work/amplitude**2 (:data:`WORK_BOUND_COEFFICIENT`).
 
-    Two scans of ``points`` durations each: one over [1e-3, t_max], then
+    Two scans of ``points`` durations each: one over [1e-3, 200], then
     one between the neighbours of its maximum, whose largest work is
     returned.  The supremum sits near duration 4.2953, away from pi."""
-    grid = np.linspace(1e-3, t_max, points)
+    grid = np.linspace(1e-3, _BOUND_SCAN_T_MAX, points)
     i = int(work_half_sine(1.0, grid).argmax())
     fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], points)
     return float(work_half_sine(1.0, fine).max())

@@ -8,10 +8,14 @@ fig3          canonical entropy change versus switching time
 verify        run the invariant suite; exit 0 only if everything passes
 theorem-demo  walk one random instance of the entropy-increase theorem
 
-CSV files are UTF-8 with ``#``-prefixed header comments recording every
-parameter, then a column-name row, then data rows; floats carry 12
-significant digits.  Identical inputs and seeds produce byte-identical
-files (grid points are independent, so evaluation order never matters).
+Each option is declared once, with its range in its click type, so bad
+input exits 2 before anything runs; a fixed cut (``--m-trunc`` > 0) must
+also reach the mean final level, the highest initial level plus the
+largest work.  CSV files are UTF-8 with ``#``-prefixed header comments
+naming the command and every option but ``--output``, then a column-name
+row, then data rows; floats carry 12 significant digits.  Identical
+inputs and seeds produce byte-identical files (grid points are
+independent, so evaluation order never matters).
 """
 
 from __future__ import annotations
@@ -30,78 +34,80 @@ from .majorization import (
     random_unistochastic,
 )
 
-_FLOAT_FMT = ".12g"
 
+class _Finite(click.FloatRange):
+    """A finite float, inside the bounds if any are given; with none it
+    shows in ``--help`` as a plain FLOAT with no range text."""
 
-class _FiniteFloat(click.types.FloatParamType):
-    """A float option that rejects nan and inf."""
+    def __init__(self, **bounds):
+        super().__init__(**bounds)
+        if not bounds:
+            self.name = "float"
 
     def convert(self, value, param, ctx):
-        value = super().convert(value, param, ctx)
-        if not math.isfinite(value):
-            self.fail(f"{value!r} is not a finite number", param, ctx)
-        return value
+        number = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{number!r} is not a finite number", param, ctx)
+        return super().convert(number, param, ctx)
+
+    def _describe_range(self) -> str:
+        return "" if self.name == "float" else super()._describe_range()
 
 
-FINITE = _FiniteFloat()
+_FINITE = _Finite()
+_POSITIVE = _Finite(min=0, min_open=True)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, _FLOAT_FMT)
-    return str(value)
+    return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: str, command: str, params: dict, notes: list[str],
-               columns: list[str], rows) -> None:
-    lines = [f"# qentropy {command}"]
-    lines.append(
-        "# parameters: "
-        + " ".join(f"{key}={_fmt(value)}" for key, value in params.items())
-    )
-    for note in notes:
-        lines.append(f"# note: {note}")
+def _write_csv(path: str, notes: list[str], columns: list[str], rows) -> None:
+    """Write a figure CSV headed by the running command and every option
+    but ``--output``, in declaration order."""
+    ctx = click.get_current_context()
+    params = " ".join(f"{param.opts[0][2:]}={_fmt(ctx.params[param.name])}"
+                      for param in ctx.command.params if param.name != "output")
+    lines = [f"# qentropy {ctx.command.name}", f"# parameters: {params}"]
+    lines += [f"# note: {note}" for note in notes]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(value) for value in row))
+    lines += [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
+    click.echo(f"wrote {len(rows)} rows to {path}")
 
 
-def _duration_grid(t_min: float, t_max: float, t_step: float) -> np.ndarray:
-    if t_min <= 0.0:
-        raise click.BadParameter("--t-min must be positive (the drive needs T > 0)")
-    if t_step <= 0.0:
-        raise click.BadParameter("--t-step must be positive")
-    if t_max < t_min:
-        raise click.BadParameter("--t-max must be >= --t-min")
-    count = int(math.floor((t_max - t_min) / t_step + 1e-9)) + 1
-    return t_min + t_step * np.arange(count)
-
-
-def _works(amplitude: float, grid: np.ndarray) -> np.ndarray:
-    """Half-sine work at every duration of the grid; it must fit a float."""
-    with np.errstate(over="ignore"):
-        works = classical.work_half_sine(amplitude, grid)
-    if not np.isfinite(works).all():
-        raise click.BadParameter(f"--amplitude {amplitude:g} makes the work overflow")
-    return works
-
-
-def _truncation(m_trunc: int, tail_mass: float, level: int) -> quantum.TruncationPolicy:
-    """Fixed cut at m_trunc > 0, else adaptive; either must reach ``level``."""
-    if m_trunc < 0:
-        raise click.BadParameter("--m-trunc must be >= 0")
+def _truncation(m_trunc: int, tail_mass: float, level: int,
+                work: float) -> quantum.TruncationPolicy:
+    """Fixed cut at m_trunc > 0, else adaptive; either must reach ``level``,
+    and a fixed cut also the mean final level ``level + work``."""
     top = m_trunc or quantum.HARD_CAP
     if level > top:
         raise click.BadParameter(f"initial level {level} is above the top "
                                  f"level {top} that --m-trunc {m_trunc} allows")
-    if m_trunc > 0:
-        return quantum.TruncationPolicy(top=m_trunc)
-    try:
-        return quantum.TruncationPolicy(tail_mass=tail_mass)
-    except ValueError as exc:
-        raise click.BadParameter(f"--tail-mass: {exc}") from exc
+    if m_trunc and level + work > m_trunc:
+        raise click.BadParameter(f"mean final level {level} + work {work:g} is above "
+                                 f"--m-trunc {m_trunc}; the rows would lose "
+                                 "their mass")
+    return quantum.TruncationPolicy(tail_mass=tail_mass, top=m_trunc or None)
+
+
+def _scan(delta, level: int, amplitude: float, t_min: float, t_max: float,
+          t_step: float, m_trunc: int, tail_mass: float) -> list[tuple]:
+    """One ``(duration, work, classical, quantum)`` row per duration of the
+    grid, the two changes from ``delta(work, policy)``; ``level`` is the
+    highest initial level, checked with the largest work on the grid."""
+    if t_max < t_min:
+        raise click.BadParameter("--t-max must be >= --t-min")
+    count = int(math.floor((t_max - t_min) / t_step + 1e-9)) + 1
+    durations = t_min + t_step * np.arange(count)
+    with np.errstate(over="ignore"):
+        works = classical.work_half_sine(amplitude, durations)
+    if not np.isfinite(works).all():
+        raise click.BadParameter(f"--amplitude {amplitude:g} makes the work overflow")
+    policy = _truncation(m_trunc, tail_mass, level, float(works.max()))
+    return [(duration, work, *delta(work, policy))
+            for duration, work in zip(durations.tolist(), works.tolist())]
 
 
 class _Commands(click.Group):
@@ -114,138 +120,110 @@ class _Commands(click.Group):
             raise click.ClickException(str(exc)) from exc
 
 
-@click.group(cls=_Commands)
+@click.group(cls=_Commands, context_settings={"show_default": True})
 def main():
     """Entropy growth of the driven oscillator: figure data and checks."""
 
 
-@main.command("fig1")
-@click.option("--work", type=FINITE, default=10.0, show_default=True,
-              help="Drive work parameter.")
-@click.option("--n-trunc", type=int, default=40, show_default=True,
-              help="Largest initial level tabulated.")
-@click.option("--m-trunc", type=int, default=1000, show_default=True,
-              help="Fixed top final level of every row (0 = adaptive).")
-@click.option("--tail-mass", type=FINITE, default=1e-12, show_default=True,
-              help="Mass a row may leave out when --m-trunc is 0.")
-@click.option("--output", type=click.Path(dir_okay=False, writable=True),
-              default="fig1.csv", show_default=True)
+def _figure(name: str, *options):
+    """Register figure command ``name``: its own ``options``, then the
+    shared truncation options and ``--output`` (default ``<name>.csv``)."""
+    shared = (
+        click.option("--m-trunc", type=click.IntRange(min=0), default=1000,
+                     help="Fixed top final level of every row (0 = adaptive)."),
+        click.option("--tail-mass", default=1e-12,
+                     type=_Finite(min=0, max=1, min_open=True, max_open=True),
+                     help="Mass a row may leave out when --m-trunc is 0."),
+        click.option("--output", default=f"{name}.csv",
+                     type=click.Path(dir_okay=False, writable=True)),
+    )
+
+    def register(command):
+        for option in reversed(options + shared):
+            command = option(command)
+        return main.command(name)(command)
+
+    return register
+
+
+_AMPLITUDE = click.option("--amplitude", type=_FINITE, default=6.0,
+                          help="Half-sine force amplitude.")
+_DURATIONS = (
+    click.option("--t-min", type=_POSITIVE, default=0.25),
+    click.option("--t-max", type=_FINITE, default=30.0),
+    click.option("--t-step", type=_POSITIVE, default=0.25),
+)
+_SCAN_COLUMNS = ["switching_time", "work", "classical_delta_entropy",
+                 "quantum_delta_entropy"]
+
+
+@_figure(
+    "fig1",
+    click.option("--work", type=_Finite(min=0), default=10.0,
+                 help="Drive work parameter."),
+    click.option("--n-trunc", type=click.IntRange(min=0), default=40,
+                 help="Largest initial level tabulated."),
+)
 def fig1(work, n_trunc, m_trunc, tail_mass, output):
     """Microcanonical entropy after the drive versus initial level."""
-    if work < 0.0:
-        raise click.BadParameter("--work must be non-negative")
-    if n_trunc < 0:
-        raise click.BadParameter("--n-trunc must be >= 0")
-    policy = _truncation(m_trunc, tail_mass, n_trunc)
+    policy = _truncation(m_trunc, tail_mass, n_trunc, work)
     entropies = quantum.level_entropies(n_trunc, work, policy).tolist()
-    rows = [(level, math.log(max(level + 0.5, work)), entropies[level])
-            for level in range(n_trunc + 1)]
-    _write_csv(
-        output, "fig1",
-        {"work": work, "n-trunc": n_trunc, "m-trunc": m_trunc,
-         "tail-mass": tail_mass},
-        ["classical column is ln(max(level + 1/2, work)); quantum column is "
-         "the level-sum expectation of ln(m + 1/2)"],
-        ["level", "classical_entropy", "quantum_entropy"], rows,
-    )
-    click.echo(f"wrote {len(rows)} rows to {output}")
+    rows = [(level, classical.microcanonical_stats(level + 0.5, work).log_mean,
+             entropies[level]) for level in range(n_trunc + 1)]
+    _write_csv(output, ["classical column is ln(max(level + 1/2, work)); quantum "
+                        "column is the level-sum expectation of ln(m + 1/2)"],
+               ["level", "classical_entropy", "quantum_entropy"], rows)
 
 
-@main.command("fig2")
-@click.option("--amplitude", type=FINITE, default=6.0, show_default=True,
-              help="Half-sine force amplitude.")
-@click.option("--level", type=int, default=2, show_default=True,
-              help="Initial level of the microcanonical start.")
-@click.option("--t-min", type=FINITE, default=0.25, show_default=True)
-@click.option("--t-max", type=FINITE, default=30.0, show_default=True)
-@click.option("--t-step", type=FINITE, default=0.25, show_default=True)
-@click.option("--m-trunc", type=int, default=1000, show_default=True,
-              help="Fixed top final level of every row (0 = adaptive).")
-@click.option("--tail-mass", type=FINITE, default=1e-12, show_default=True,
-              help="Mass a row may leave out when --m-trunc is 0.")
-@click.option("--output", type=click.Path(dir_okay=False, writable=True),
-              default="fig2.csv", show_default=True)
-def fig2(amplitude, level, t_min, t_max, t_step, m_trunc, tail_mass, output):
+@_figure(
+    "fig2", _AMPLITUDE,
+    click.option("--level", type=click.IntRange(min=0), default=2,
+                 help="Initial level of the microcanonical start."),
+    *_DURATIONS,
+)
+def fig2(level, output, **scan):
     """Microcanonical entropy change versus switching time."""
-    if level < 0:
-        raise click.BadParameter("--level must be >= 0")
-    grid = _duration_grid(t_min, t_max, t_step)
-    policy = _truncation(m_trunc, tail_mass, level)
-    start_volume = level + 0.5
-    works = _works(amplitude, grid)
-    rows = []
-    for duration, work in zip(grid.tolist(), works.tolist()):
-        classical_delta = math.log(max(start_volume, work)) - math.log(start_volume)
-        stats = quantum.microcanonical_stats(level, work, policy)
-        quantum_delta = stats.entropy - math.log(start_volume)
-        rows.append((duration, work, classical_delta, quantum_delta))
-    _write_csv(
-        output, "fig2",
-        {"amplitude": amplitude, "level": level, "t-min": t_min, "t-max": t_max,
-         "t-step": t_step, "m-trunc": m_trunc, "tail-mass": tail_mass},
-        ["classical change is exactly zero wherever the work stays below the "
-         "initial volume level + 1/2"],
-        ["switching_time", "work", "classical_delta_entropy",
-         "quantum_delta_entropy"], rows,
-    )
-    click.echo(f"wrote {len(rows)} rows to {output}")
+    start = math.log(level + 0.5)
+
+    def delta(work, policy):
+        return (classical.microcanonical_stats(level + 0.5, work).log_mean - start,
+                quantum.microcanonical_stats(level, work, policy).entropy - start)
+
+    _write_csv(output, ["classical change is exactly zero wherever the work "
+                        "stays below the initial volume level + 1/2"],
+               _SCAN_COLUMNS, _scan(delta, level, **scan))
 
 
-@main.command("fig3")
-@click.option("--amplitude", type=FINITE, default=6.0, show_default=True,
-              help="Half-sine force amplitude.")
-@click.option("--beta", type=FINITE, default=2.0, show_default=True,
-              help="Inverse temperature of the initial thermal ensemble.")
-@click.option("--n-trunc", type=int, default=100, show_default=True,
-              help="Top level of the thermal sum.")
-@click.option("--t-min", type=FINITE, default=0.25, show_default=True)
-@click.option("--t-max", type=FINITE, default=30.0, show_default=True)
-@click.option("--t-step", type=FINITE, default=0.25, show_default=True)
-@click.option("--m-trunc", type=int, default=1000, show_default=True,
-              help="Fixed top final level of every row (0 = adaptive).")
-@click.option("--tail-mass", type=FINITE, default=1e-12, show_default=True,
-              help="Mass a row may leave out when --m-trunc is 0.")
-@click.option("--output", type=click.Path(dir_okay=False, writable=True),
-              default="fig3.csv", show_default=True)
-def fig3(amplitude, beta, n_trunc, t_min, t_max, t_step, m_trunc, tail_mass,
-         output):
+@_figure(
+    "fig3", _AMPLITUDE,
+    click.option("--beta", type=_POSITIVE, default=2.0,
+                 help="Inverse temperature of the initial thermal ensemble."),
+    click.option("--n-trunc", type=click.IntRange(min=1), default=100,
+                 help="Top level of the thermal sum."),
+    *_DURATIONS,
+)
+def fig3(beta, n_trunc, output, **scan):
     """Canonical entropy change versus switching time."""
-    if beta <= 0.0:
-        raise click.BadParameter("--beta must be positive")
-    if n_trunc < 1:
-        raise click.BadParameter("--n-trunc must be >= 1")
-    grid = _duration_grid(t_min, t_max, t_step)
-    policy = _truncation(m_trunc, tail_mass, n_trunc)
-    works = _works(amplitude, grid)
-    rows = []
-    for duration, work in zip(grid.tolist(), works.tolist()):
-        classical_delta = classical.canonical_entropy_change(beta, work)
-        quantum_delta = quantum.canonical_entropy_change(beta, work, n_trunc, policy)
-        rows.append((duration, work, classical_delta, quantum_delta))
-    tail = quantum.canonical_tail_bound(beta, float(works.max()), n_trunc)
-    _write_csv(
-        output, "fig3",
-        {"amplitude": amplitude, "beta": beta, "n-trunc": n_trunc,
-         "t-min": t_min, "t-max": t_max, "t-step": t_step,
-         "m-trunc": m_trunc, "tail-mass": tail_mass},
-        [f"geometric tail beyond n-trunc bounded by {tail:.6e} at the "
-         "largest work on this grid",
-         "the source figure caption quotes a microcanonical volume 5/2; the "
-         "canonical data here depends only on beta and the drive work"],
-        ["switching_time", "work", "classical_delta_entropy",
-         "quantum_delta_entropy"], rows,
-    )
-    click.echo(f"wrote {len(rows)} rows to {output}")
+
+    def delta(work, policy):
+        return (classical.canonical_entropy_change(beta, work),
+                quantum.canonical_entropy_change(beta, work, n_trunc, policy))
+
+    rows = _scan(delta, n_trunc, **scan)
+    tail = quantum.canonical_tail_bound(beta, max(row[1] for row in rows), n_trunc)
+    _write_csv(output, [f"geometric tail beyond n-trunc bounded by {tail:.6e} at "
+                        "the largest work on this grid",
+                        "the source figure caption quotes a microcanonical volume "
+                        "5/2; the canonical data here depends only on beta and the "
+                        "drive work"], _SCAN_COLUMNS, rows)
 
 
 @main.command("verify")
-@click.option("--seed", type=int, default=20608, show_default=True)
-@click.option("--trials", type=int, default=1000, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=20608)
+@click.option("--trials", type=click.IntRange(min=1), default=1000,
               help="Random (population, matrix) pairs for the theorem check.")
 def verify(seed, trials):
     """Run the invariant suite and exit non-zero on any failure."""
-    if trials < 1:
-        raise click.BadParameter("--trials must be >= 1")
     results = verify_mod.run_all(seed, trials)
     for result in results:
         click.echo(result.line())
@@ -257,19 +235,14 @@ def verify(seed, trials):
 
 
 @main.command("theorem-demo")
-@click.option("--dim", type=int, default=8, show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--dim", type=click.IntRange(min=2), default=8)
+@click.option("--seed", type=click.IntRange(min=0), default=7)
 def theorem_demo(dim, seed):
     """Show the entropy-increase bookkeeping on one random instance."""
-    if dim < 2:
-        raise click.BadParameter("--dim must be >= 2")
-    rng = np.random.default_rng(seed)
-    raw = rng.dirichlet(np.ones(dim))
+    raw = np.random.default_rng(seed).dirichlet(np.ones(dim))
     matrix = random_unistochastic(dim, seed + 1)
-    for label, weights in (
-        ("decreasing populations", np.sort(raw)[::-1]),
-        ("unsorted populations", raw),
-    ):
+    for label, weights in (("decreasing populations", np.sort(raw)[::-1]),
+                           ("unsorted populations", raw)):
         p = ProbabilityVector(weights)
         evolved = evolve_distribution(p, matrix)
         report = entropy_change(p, evolved)
@@ -277,25 +250,14 @@ def theorem_demo(dim, seed):
         click.echo(f"--- {label} (is_decreasing={p.is_decreasing})")
         click.echo("level  p_before      p_after       cumulative_gap")
         for n in range(dim):
-            click.echo(
-                f"{n:5d}  {p.weights[n]:.10f}  {evolved.weights[n]:.10f}  "
-                f"{partial[n]:+.10f}"
-            )
-        click.echo(
-            f"entropy change direct={report.delta_direct:+.12e} "
-            f"by-parts={report.delta_by_parts:+.12e}"
-        )
-        if p.is_decreasing:
-            click.echo(
-                f"guaranteed non-negative; smallest cumulative gap "
-                f"{report.min_cumulative_gap:+.3e}"
-            )
-        else:
-            click.echo(
-                f"ordering hypothesis not met: positivity reported, not "
-                f"asserted (smallest cumulative gap "
-                f"{report.min_cumulative_gap:+.3e})"
-            )
+            click.echo(f"{n:5d}  {p.weights[n]:.10f}  {evolved.weights[n]:.10f}  "
+                       f"{partial[n]:+.10f}")
+        click.echo(f"entropy change direct={report.delta_direct:+.12e} "
+                   f"by-parts={report.delta_by_parts:+.12e}")
+        gap = f"smallest cumulative gap {report.min_cumulative_gap:+.3e}"
+        click.echo(f"guaranteed non-negative; {gap}" if p.is_decreasing else
+                   "ordering hypothesis not met: positivity reported, not "
+                   f"asserted ({gap})")
 
 
 if __name__ == "__main__":

@@ -31,17 +31,14 @@ _T_MAX = 4.0  # truncation of the double-exponential sum; tail weight ~ 1e-36
 
 
 @lru_cache(maxsize=32)
-def tanh_sinh_rule(n_half: int, t_max: float = _T_MAX):
+def tanh_sinh_rule(n_half: int):
     """Tanh-sinh nodes and weights on (-1, 1).
 
     Parameters
     ----------
     n_half : int
         Number of nodes on each side of the origin; the rule uses
-        ``2*n_half + 1`` points with mesh ``h = t_max/n_half``.
-    t_max : float
-        Truncation point of the trapezoidal sum in the auxiliary
-        variable.
+        ``2*n_half + 1`` points with mesh ``h = _T_MAX/n_half``.
 
     Returns
     -------
@@ -54,7 +51,7 @@ def tanh_sinh_rule(n_half: int, t_max: float = _T_MAX):
         Marks the embedded half-resolution rule (every other node);
         doubling those weights gives the mesh-2h estimate for free.
     """
-    h = t_max / n_half
+    h = _T_MAX / n_half
     k = np.arange(-n_half, n_half + 1)
     t = k * h
     s = 0.5 * math.pi * np.sinh(t)

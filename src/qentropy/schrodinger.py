@@ -65,12 +65,12 @@ def propagate(drive, dim: int, steps: int) -> PropagatorResult:
 
     One eigendecomposition of the truncated position matrix serves every
     slice; each slice is half a free step, the position phase at the
-    slice midpoint, and half a free step, with adjacent half steps
-    merged.  Second order in ``duration / steps``; every factor is
-    unitary to roundoff.  Deterministic; raises :class:`UnitarityError`
-    unless the accumulated full-matrix defect is at most
-    :data:`UNITARITY_THRESHOLD` (raise ``steps`` or lower ``dim`` if
-    that happens; a non-finite drive also lands here).
+    slice midpoint (skipped where the force is 0), and half a free step,
+    with adjacent half steps merged.  Second order in ``duration /
+    steps``; every factor is unitary to roundoff.  Deterministic; raises
+    :class:`UnitarityError` unless the accumulated full-matrix defect is
+    at most :data:`UNITARITY_THRESHOLD` (raise ``steps`` or lower ``dim``
+    if that happens; a non-finite drive also lands here).
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -81,14 +81,15 @@ def propagate(drive, dim: int, steps: int) -> PropagatorResult:
     energies = np.arange(dim) + 0.5
     free_half = np.exp(-0.5j * dt * energies)[:, None]
     free_full = np.exp(-1j * dt * energies)[:, None]
+    forces = np.broadcast_to(drive.force((np.arange(steps) + 0.5) * dt), steps)
     u = np.diag(free_half[:, 0])
-    for j in range(steps):
-        force = float(drive.force((j + 0.5) * dt))
-        # V and V^T are real: apply them to the real and imaginary parts
-        # at once through a float view of the complex matrix
-        w = (modes.T @ u.view(float)).view(complex)
-        w *= np.exp(-1j * force * dt * positions)[:, None]
-        u = (modes @ w.view(float)).view(complex)
+    for j, force in enumerate(forces.tolist()):
+        if force:  # zero force: the phase is exactly 1, V V^T only nearly
+            # V and V^T are real: apply them to the real and imaginary
+            # parts at once through a float view of the complex matrix
+            w = (modes.T @ u.view(float)).view(complex)
+            w *= np.exp(-1j * force * dt * positions)[:, None]
+            u = (modes @ w.view(float)).view(complex)
         u *= free_full if j + 1 < steps else free_half
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
     if not defect <= UNITARITY_THRESHOLD:

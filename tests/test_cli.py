@@ -128,12 +128,14 @@ class TestFig2:
             )
 
     def test_grid_validation(self, runner, tmp_path):
-        for bad in (["--t-min", "0"], ["--t-step", "-1"],
-                    ["--t-min", "5", "--t-max", "1"]):
+        for bad in (["--t-min", "0"], ["--t-step", "-1"], ["--t-step", "0"],
+                    ["--t-min", "5", "--t-max", "1"], ["--level", "-1"],
+                    ["--m-trunc", "-1"]):
             result = runner.invoke(
                 main, ["fig2", *bad, "--output", str(tmp_path / "bad.csv")]
             )
-            assert result.exit_code == 2
+            assert result.exit_code == 2, bad
+            assert not (tmp_path / "bad.csv").exists()
 
 
 class TestFig3:
@@ -253,9 +255,51 @@ def test_rejects_amplitude_whose_work_overflows(runner, tmp_path, figure):
 
 
 def test_rejects_out_of_range_tail_mass(runner, tmp_path):
-    result = runner.invoke(main, ["fig1", "--m-trunc", "0", "--tail-mass", "2",
-                                  "--output", str(tmp_path / "bad.csv")])
+    # checked under a fixed cut too, where the rows never read it
+    for m_trunc in ("0", "1000"):
+        result = runner.invoke(main, ["fig1", "--m-trunc", m_trunc, "--tail-mass",
+                                      "2", "--output", str(tmp_path / "bad.csv")])
+        assert result.exit_code == 2
+        assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fig1", "--work", "2000", "--n-trunc", "5"],
+        ["fig2", "--amplitude", "1e10", "--t-max", "1"],
+        ["fig3", "--amplitude", "1e10", "--t-max", "1"],
+    ],
+    ids=["fig1", "fig2", "fig3"],
+)
+def test_rejects_fixed_cut_below_the_mean_level(runner, tmp_path, args):
+    # the highest initial level plus the largest work is the mean final
+    # level; a fixed cut below it would write rows that keep no mass
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, args + ["--output", str(out)])
     assert result.exit_code == 2
+    assert "mean final level" in result.output
+    assert "--m-trunc 1000" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["fig1", "--n-trunc", "3"],
+    ["fig2", "--t-max", "1"],
+    ["fig3", "--t-max", "1", "--n-trunc", "5"],
+])
+def test_parameters_header_lists_the_declared_options(runner, tmp_path, args):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 0, result.output
+    comments, _, _ = read_csv(out)
+    assert comments[0] == f"# qentropy {args[0]}"
+    assert comments[1].startswith("# parameters: ")
+    header = dict(item.split("=") for item in comments[1].split()[2:])
+    declared = [param.opts[0] for param in main.commands[args[0]].params]
+    assert declared[-1] == "--output"
+    assert ["--" + key for key in header] == declared[:-1]
+    assert header[args[-2][2:]] == args[-1]
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -279,6 +323,14 @@ def test_cli_runs_without_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", ["verify", "theorem-demo"])
+def test_rejects_negative_seed(runner, command):
+    # numpy's generators take only non-negative seeds
+    result = runner.invoke(main, [command, "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
 
 
 class TestVerify:

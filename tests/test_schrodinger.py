@@ -40,6 +40,11 @@ class TestPropagate:
         off = result.matrix - np.diag(np.diag(result.matrix))
         assert np.max(np.abs(off)) < 1e-12
 
+    def test_free_drive_skips_the_position_phase(self):
+        # with zero force every slice is diagonal, so no mixing roundoff
+        u = propagate(HalfSineDrive(0.0, 2.0), dim=24, steps=150).matrix
+        assert np.all(u[~np.eye(24, dtype=bool)] == 0.0)
+
     def test_defect_at_reference_resolution(self):
         result = propagate(HalfSineDrive(1.0, 2.0), dim=120, steps=4000)
         assert result.unitarity_defect <= 1e-10
