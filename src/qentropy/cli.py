@@ -11,9 +11,10 @@ theorem-demo  walk one random instance of the entropy-increase theorem
 Each option is declared once, with its range in its click type, so bad
 input exits 2 before anything runs; a fixed cut (``--m-trunc`` > 0) must
 also reach the mean final level, the highest initial level plus the
-largest work.  CSV files are UTF-8 with ``#``-prefixed header comments
-naming the command and every option but ``--output``, then a column-name
-row, then data rows; floats carry 12 significant digits.  Identical
+largest work, and a duration grid may hold at most :data:`MAX_DURATIONS`
+points.  CSV files are UTF-8 with ``#``-prefixed header comments naming
+the command and every option but ``--output``, then a column-name row,
+then data rows; floats carry 12 significant digits.  Identical
 inputs and seeds produce byte-identical files (grid points are
 independent, so evaluation order never matters).
 """
@@ -53,6 +54,9 @@ class _Finite(click.FloatRange):
     def _describe_range(self) -> str:
         return "" if self.name == "float" else super()._describe_range()
 
+
+#: Most durations a fig2 or fig3 grid may hold.
+MAX_DURATIONS = 1_000_000
 
 _FINITE = _Finite()
 _POSITIVE = _Finite(min=0, min_open=True)
@@ -99,7 +103,11 @@ def _scan(delta, level: int, amplitude: float, t_min: float, t_max: float,
     highest initial level, checked with the largest work on the grid."""
     if t_max < t_min:
         raise click.BadParameter("--t-max must be >= --t-min")
-    count = int(math.floor((t_max - t_min) / t_step + 1e-9)) + 1
+    steps = (t_max - t_min) / t_step + 1e-9
+    if not steps < MAX_DURATIONS:
+        raise click.BadParameter(f"--t-step {t_step:g} puts more than {MAX_DURATIONS} "
+                                 f"durations between --t-min and --t-max")
+    count = int(steps) + 1
     durations = t_min + t_step * np.arange(count)
     with np.errstate(over="ignore"):
         works = classical.work_half_sine(amplitude, durations)

@@ -23,7 +23,12 @@ oscillatory/dominant regime where forward recursion is stable; values
 to m, n of a few thousand stay accurate in absolute terms.  Step ``k``
 of the sweep gives row ``k`` from the diagonal on, and through the
 exact symmetry ``p(n -> m) = p(m -> n)`` the entries left of the
-diagonal of every later row.  A single row, or a single entry
+diagonal of every later row.  The sweep ends at an underflow top:
+Laguerre's inequality ``|L_n^(d)(w)| <= C(m, n) e^(w/2)``, d = m - n,
+gives ``ln p(n -> m) <= d ln w + ln m! - ln n! - 2 ln d!``, and past
+the column where that bound falls below -800 every entry would round
+to 0.0, so it is left at 0.0 unswept: blocks, and a fixed cut's meaning
+and output, stay the same bit for bit.  A single row, or a single entry
 (:func:`transition_probability`), is a one-row block;
 :func:`level_entropies` and :func:`canonical_entropy_change` reduce
 over the block of every initial level they sum over.
@@ -53,6 +58,10 @@ HARD_CAP = 5000
 #: Largest mass a row cut at a fixed top may leave out before
 #: :class:`TruncationWarning` is raised.
 MASS_DEFICIT_TOL = 1e-9
+
+#: ln p below which an entry is left at 0.0; ``exp`` underflows to 0.0
+#: below about -745.1, so the margin covers the rounding of ``ln p``.
+_UNDERFLOW_LOG = -800.0
 
 #: ln(k!) for k = 0..size-1; grown on demand by :func:`_log_factorials`.
 _LOG_FACTORIAL = np.zeros(0)
@@ -183,12 +192,31 @@ def _log_factorials(top: int) -> np.ndarray:
     return _LOG_FACTORIAL[: top + 1]
 
 
+def _underflow_top(last: int, work: float, top: int) -> int:
+    """Last column m <= top where some p(n -> m), n <= last, can be non-zero.
+
+    Where ``d**2 >= w (m + 1)`` at n = last, Laguerre's bound (Szego;
+    Abramowitz & Stegun 22.14.13) rises with n and falls with m, so the
+    first such column of row ``last`` with a bound below
+    :data:`_UNDERFLOW_LOG` starts the underflowed tail of every row.
+    """
+    m = np.arange(last + 1, top + 1)
+    d = m - last
+    log_factorial = _log_factorials(top)
+    bound = (d * math.log(work) + log_factorial[m] - log_factorial[last]
+             - 2.0 * log_factorial[d])
+    underflows = (d * d >= work * (m + 1)) & (bound < _UNDERFLOW_LOG)
+    return int(m[underflows.argmax()]) - 1 if underflows.any() else top
+
+
 def transition_block(first: int, last: int, work: float, top: int) -> np.ndarray:
     """p(n -> m) for n = first..last and m = 0..top, clipped to [0, 1].
 
     One sweep over the arguments first..top: step k adds ``2 ln|c_k|``
     to row k from the diagonal on and, by symmetry, to column k of every
-    later row.  ``ln p`` is formed in place in the returned array.
+    later row.  ``ln p`` is formed in place in the returned array.  The
+    sweep ends at :func:`_underflow_top`; later columns stay 0.0, the
+    value their ``exp`` would round to.
     """
     if not 0 <= first <= last <= top:
         raise ValueError(f"need 0 <= first <= last <= top, got {first}, {last}, {top}")
@@ -196,19 +224,22 @@ def transition_block(first: int, last: int, work: float, top: int) -> np.ndarray
     rows = last - first + 1
     if work == 0.0:
         return np.eye(rows, top + 1, k=first)
+    stop = _underflow_top(last, work, top)
     n = np.arange(first, last + 1)[:, None]
-    m = np.arange(top + 1)
-    log_factorial = _log_factorials(top)
+    m = np.arange(stop + 1)
+    log_factorial = _log_factorials(stop)
+    p = np.zeros((rows, top + 1))
+    log_p = p[:, : stop + 1]
     # -work + (n+m) ln w - ln(max!) - ln(min!) + 2 ln|c|, in this order;
     # (argument, degree) order makes the square part exactly symmetric
     index = n + m
-    log_p = index * math.log(work)
+    np.multiply(index, math.log(work), out=log_p)
     log_p -= work
     log_p -= log_factorial[np.maximum(n, m, out=index)]
     log_p -= log_factorial[np.minimum(n, m, out=index)]
     with np.errstate(divide="ignore"):
         for k, (c, shift) in enumerate(
-            _charlier_sweep(np.arange(first, top + 1, dtype=float), work, last)
+            _charlier_sweep(np.arange(first, stop + 1, dtype=float), work, last)
         ):
             lo = max(k - first, 0)
             twice_log = np.abs(c[lo:] if k >= first else c[:rows])
@@ -222,7 +253,8 @@ def transition_block(first: int, last: int, work: float, top: int) -> np.ndarray
                 row += twice_log[1:]
     with np.errstate(over="ignore"):
         np.exp(log_p, out=log_p)
-    return np.minimum(log_p, 1.0, out=log_p)
+    np.minimum(log_p, 1.0, out=log_p)
+    return p
 
 
 def transition_probability(n: int, m: int, work: float) -> float:

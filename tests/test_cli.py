@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import qentropy
-from qentropy import quantum
+from qentropy import cli, quantum
 from qentropy.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -250,6 +250,24 @@ def test_rejects_amplitude_whose_work_overflows(runner, tmp_path, figure):
     errors = [line for line in result.output.splitlines()
               if line.startswith("Error:")]
     assert len(errors) == 1 and "--amplitude" in errors[0]
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["fig2", "--t-step", "1e-12"],
+    ["fig3", "--t-step", "5e-324"],
+    ["fig2", "--t-min", "1", "--t-max", "1000001", "--t-step", "1"],
+], ids=["fig2", "fig3-subnormal-step", "one-past-the-ceiling"])
+def test_rejects_duration_grid_above_the_ceiling(runner, tmp_path, args):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].startswith("Error: Invalid value")
+    assert str(cli.MAX_DURATIONS) in errors[0]
     assert "Traceback" not in result.output
     assert not out.exists()
 

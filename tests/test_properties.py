@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -59,6 +60,18 @@ def test_block_row_sums_tend_to_one(last, work):
                      for top in tops])
     assert np.all(np.diff(sums, axis=0) >= -1e-15)
     assert np.abs(sums[-1] - 1.0).max() <= 1e-10
+
+
+@given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 300),
+       st.one_of(WORKS, st.floats(min_value=60.0, max_value=300.0),
+                 st.floats(min_value=5e-324, max_value=1e-90)))
+def test_underflow_cut_leaves_the_block_unchanged(first, span, extra, work):
+    last = first + span
+    top = last + extra
+    cut = quantum.transition_block(first, last, work, top)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantum, "_underflow_top", lambda last, work, top: top)
+        assert np.array_equal(cut, quantum.transition_block(first, last, work, top))
 
 
 def near(center, width):

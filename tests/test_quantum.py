@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qentropy import quantum
+from qentropy import classical, quantum
 from qentropy.quantum import (
     DEFAULT_POLICY,
     TruncationError,
@@ -194,6 +194,72 @@ class TestTransitionBlock:
         # p(n-1 -> n) = n w + O(w**2)
         np.testing.assert_allclose(block[levels - 1, levels] / work, levels,
                                    rtol=1e-10)
+
+
+def mp_log_probability(n, m, work):
+    """ln p(n -> m), m >= n, from mpmath's Laguerre polynomial."""
+    with mpmath.workdps(40):
+        w, d = mpmath.mpf(work), m - n
+        laguerre = mpmath.laguerre(n, d, w)
+        return (-w + d * mpmath.log(w) + mpmath.loggamma(n + 1)
+                - mpmath.loggamma(m + 1) + 2 * mpmath.log(abs(laguerre)))
+
+
+class TestUnderflowTop:
+    """The sweep ends where Laguerre's inequality puts every entry of the
+    remaining columns below exp(-800)."""
+
+    FIG3_WORKS = classical.work_half_sine(6.0, 0.25 + 0.25 * np.arange(120))
+
+    @pytest.mark.parametrize(
+        "work", [0.0, 1e-300, 1e-120, 1e-3, 0.5, 10.0, RESONANT_WORK, 200.0, 700.0])
+    def test_laguerre_bound_holds(self, work):
+        # ln p <= d ln w + ln m! - ln n! - 2 ln d!, d = m - n
+        for n in (0, 1, 5, 40, 300):
+            for d in (1, 2, 10, 100, 1000):
+                m = n + d
+                with mpmath.workdps(40):
+                    bound = (d * mpmath.log(work) + mpmath.loggamma(m + 1)
+                             - mpmath.loggamma(n + 1) - 2 * mpmath.loggamma(d + 1))
+                    log_p = mp_log_probability(n, m, work)
+                    # at n = 0 the bound exceeds ln p by only w, which 40
+                    # digits may round away; at work 0 both sides are -inf
+                    assert log_p <= bound or log_p - bound <= 1e-25 * abs(bound), (
+                        n, m)
+
+    @pytest.mark.parametrize("last, work, top", [
+        (100, 3e-5, 1000), (100, 1.0, 1000), (100, 10.0, 1000),
+        (100, 53.0, 1000), (2, 10.0, 1000), (0, 1e-3, 200), (8, 1e-200, 30),
+        (300, 100.0, 2000),
+    ])
+    def test_cut_columns_are_below_the_float_range(self, last, work, top):
+        stop = quantum._underflow_top(last, work, top)
+        assert last <= stop < top
+        for n in (0, last // 2, last):
+            for m in (stop + 1, top):
+                assert mp_log_probability(n, m, work) < math.log(1e-320), (n, m)
+
+    @pytest.mark.parametrize("last, work, top", [
+        (100, 200.0, 1000), (0, 700.0, 1000), (50, 1.0, 50),
+    ])
+    def test_no_cut_where_the_tail_can_be_normal(self, last, work, top):
+        assert quantum._underflow_top(last, work, top) == top
+
+    def test_cut_blocks_are_bit_identical(self, monkeypatch):
+        # fig3's default blocks and fig2's level-2 rows, with the sweep cut
+        # and swept to the top; about 40% of fig3's columns are swept
+        def blocks(first, last):
+            return [quantum.transition_block(first, last, work, 1000)
+                    for work in self.FIG3_WORKS.tolist()]
+
+        cut = blocks(0, 100), blocks(2, 2)
+        stops = [quantum._underflow_top(100, work, 1000)
+                 for work in self.FIG3_WORKS.tolist()]
+        assert sum(stops) + len(stops) < 0.45 * 1001 * len(stops)
+        monkeypatch.setattr(quantum, "_underflow_top", lambda last, work, top: top)
+        for with_cut, without in zip(cut, (blocks(0, 100), blocks(2, 2))):
+            for a, b in zip(with_cut, without):
+                assert np.array_equal(a, b)
 
 
 class TestTransitionRow:
