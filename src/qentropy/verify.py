@@ -230,7 +230,7 @@ def oracle_agreement() -> CheckResult:
     """Propagator rows against the Charlier formula on a reduced instance."""
     drive = classical.HalfSineDrive(amplitude=2.0, duration=2.0)
     work = classical.work_half_sine(2.0, 2.0)
-    result = schrodinger.propagate(drive, dim=140, steps=600)
+    result = schrodinger.propagate(drive, dim=140, steps=600, levels=11)
     formula = quantum.transition_block(0, 10, work, 10)
     worst = 0.0
     for n in range(11):
@@ -238,7 +238,7 @@ def oracle_agreement() -> CheckResult:
         worst = max(worst, float(np.abs(numeric[:11] - formula[n]).max()))
     return CheckResult(
         "oracle_agreement", worst <= 1e-6, worst, 1e-6,
-        f"dim=140 steps=600 defect={result.unitarity_defect:.1e}",
+        f"dim=140 steps=600 levels=11 defect={result.unitarity_defect:.1e}",
     )
 
 

@@ -110,7 +110,7 @@ def test_criterion_4_oracle_equivalence():
     start = time.perf_counter()
     drive = classical.HalfSineDrive(6.0, 2.0)
     work = classical.work_half_sine(6.0, 2.0)
-    result = schrodinger.propagate(drive, dim=300, steps=2000)
+    result = schrodinger.propagate(drive, dim=300, steps=2000, levels=21)
     worst = 0.0
     for n in range(21):
         row = schrodinger.numeric_transition_row(n, result)
