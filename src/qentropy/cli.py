@@ -207,20 +207,26 @@ def fig2(level, output, **scan):
     click.option("--beta", type=_POSITIVE, default=2.0,
                  help="Inverse temperature of the initial thermal ensemble."),
     click.option("--n-trunc", type=click.IntRange(min=1), default=100,
-                 help="Top level of the thermal sum."),
+                 help="Top level of the thermal sum, which stops earlier where "
+                      "the remaining levels cannot change the last bit."),
     *_DURATIONS,
 )
 def fig3(beta, n_trunc, output, **scan):
     """Canonical entropy change versus switching time."""
+    last_levels = []
 
     def delta(work, policy):
-        return (classical.canonical_entropy_change(beta, work),
-                quantum.canonical_entropy_change(beta, work, n_trunc, policy))
+        total = quantum.canonical_sum(beta, work, n_trunc, policy)
+        last_levels.append(total.last_level)
+        return classical.canonical_entropy_change(beta, work), total.value
 
     rows = _scan(delta, n_trunc, **scan)
     tail = quantum.canonical_tail_bound(beta, max(row[1] for row in rows), n_trunc)
     _write_csv(output, [f"geometric tail beyond n-trunc bounded by {tail:.6e} at "
                         "the largest work on this grid",
+                        f"the thermal sum reaches at most level "
+                        f"{max(last_levels)} of n-trunc {n_trunc} on this grid; "
+                        "the levels left out cannot change its last bit",
                         "the source figure caption quotes a microcanonical volume "
                         "5/2; the canonical data here depends only on beta and the "
                         "drive work"], _SCAN_COLUMNS, rows)

@@ -30,8 +30,15 @@ the column where that bound falls below -800 every entry would round
 to 0.0, so it is left at 0.0 unswept: blocks, and a fixed cut's meaning
 and output, stay the same bit for bit.  A single row, or a single entry
 (:func:`transition_probability`), is a one-row block;
-:func:`level_entropies` and :func:`canonical_entropy_change` reduce
-over the block of every initial level they sum over.
+:func:`level_entropies` and :func:`canonical_sum` reduce over the block
+of every initial level they sum over.  The thermal sum ends at a weight
+top: the first level past which the bounded gains of the remaining
+levels, times their thermal weights, stay below 2**-54 of the partial
+sum.  It stops there only where the same Laguerre bound, summed along
+its last level past the top, shows that no level left out would have
+lost the mass that raises :class:`TruncationWarning` or
+:class:`TruncationError`; a row's own rounding is not covered (see
+:func:`canonical_sum`).
 
 Every sum over levels is truncated by one :class:`TruncationPolicy`:
 adaptively by a tail-mass target, never past :data:`HARD_CAP`, or at a
@@ -192,20 +199,33 @@ def _log_factorials(top: int) -> np.ndarray:
     return _LOG_FACTORIAL[: top + 1]
 
 
+def _laguerre_log_bound(last: int, work: float, m):
+    """Laguerre's bound on ``ln p(last -> m)`` for columns m > last, and
+    where it is monotone.
+
+    ``|L_n^(d)(w)| <= C(m, n) e^(w/2)`` (Szego; Abramowitz & Stegun
+    22.14.13), d = m - n, gives ``ln p(n -> m) <= d ln w + ln m! - ln n!
+    - 2 ln d!``.  Where ``d**2 >= w (m + 1)`` at n = last the bound rises
+    with n and falls with m, so it also bounds column m of every row
+    n <= last.
+    """
+    d = m - last
+    log_factorial = _log_factorials(int(np.max(m, initial=last)))
+    bound = (d * math.log(work) + log_factorial[m] - log_factorial[last]
+             - 2.0 * log_factorial[d])
+    return bound, d * d >= work * (m + 1)
+
+
 def _underflow_top(last: int, work: float, top: int) -> int:
     """Last column m <= top where some p(n -> m), n <= last, can be non-zero.
 
-    Where ``d**2 >= w (m + 1)`` at n = last, Laguerre's bound (Szego;
-    Abramowitz & Stegun 22.14.13) rises with n and falls with m, so the
-    first such column of row ``last`` with a bound below
-    :data:`_UNDERFLOW_LOG` starts the underflowed tail of every row.
+    The first column of row ``last`` where :func:`_laguerre_log_bound`
+    is monotone and below :data:`_UNDERFLOW_LOG` starts the underflowed
+    tail of every row.
     """
     m = np.arange(last + 1, top + 1)
-    d = m - last
-    log_factorial = _log_factorials(top)
-    bound = (d * math.log(work) + log_factorial[m] - log_factorial[last]
-             - 2.0 * log_factorial[d])
-    underflows = (d * d >= work * (m + 1)) & (bound < _UNDERFLOW_LOG)
+    bound, monotone = _laguerre_log_bound(last, work, m)
+    underflows = monotone & (bound < _UNDERFLOW_LOG)
     return int(m[underflows.argmax()]) - 1 if underflows.any() else top
 
 
@@ -271,6 +291,30 @@ def transition_probability(n: int, m: int, work: float) -> float:
     return float(transition_block(low, low, work, high)[0, high])
 
 
+def _start_top(last: int, work: float) -> int:
+    """First top an adaptive block of rows up to ``last`` is swept to."""
+    return int(last + work + 12.0 * math.sqrt((last + 0.5) * work + 1.0) + 30.0)
+
+
+def _tail_mass_bound(last: int, work: float, top: int) -> float:
+    """Bound on the mass past column ``top >= last`` of every row n <= last.
+
+    From column m to m + 1 of row ``last``, :func:`_laguerre_log_bound`
+    changes by ``ln(w (m + 1) / (d + 1)**2)``.  Where the bound is
+    monotone at m = top + 1 that ratio is below 1 and falls with m, so
+    the first term past the top over one minus the ratio bounds the tail
+    of every row; inf where it is not.
+    """
+    if work == 0.0:
+        return 0.0
+    m, d = top + 1, top + 1 - last
+    log_bound, monotone = _laguerre_log_bound(last, work, m)
+    if not monotone:
+        return math.inf
+    # a bound past 1 says nothing, and capped its exp cannot overflow
+    return math.exp(min(log_bound, 0.0)) / (1.0 - work * (m + 1) / (d + 1) ** 2)
+
+
 def _truncated_rows(first: int, last: int, work: float, policy: TruncationPolicy):
     """Rows first..last truncated by ``policy``.
 
@@ -296,10 +340,7 @@ def _truncated_rows(first: int, last: int, work: float, policy: TruncationPolicy
         raise TruncationError(f"hard cap {HARD_CAP} is below level {last}")
     _check_work(work)
     target = 1.0 - policy.tail_mass
-    top = min(
-        int(last + work + 12.0 * math.sqrt((last + 0.5) * work + 1.0) + 30.0),
-        HARD_CAP,
-    )
+    top = min(_start_top(last, work), HARD_CAP)
     while True:
         p = transition_block(first, last, work, top)
         cumulative = np.cumsum(p, axis=1)
@@ -352,25 +393,86 @@ def level_entropies(last: int, work: float,
     return p @ np.log(np.arange(p.shape[1]) + 0.5)
 
 
-def canonical_entropy_change(inv_temperature: float, work: float,
-                             level_cutoff: int,
-                             policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """Entropy change of a thermal level ensemble after the drive.
+class CanonicalSum(NamedTuple):
+    value: float
+    last_level: int
+
+
+def canonical_sum(inv_temperature: float, work: float, level_cutoff: int,
+                  policy: TruncationPolicy = DEFAULT_POLICY) -> CanonicalSum:
+    """Entropy change of a thermal level ensemble after the drive, and the
+    last level whose gain it sums.
 
     Geometric-weighted sum of the microcanonical entropy gains over
-    levels 0..level_cutoff; the neglected remainder is bounded by
-    :func:`canonical_tail_bound`.  The initial thermal weights are
+    levels 0..level_cutoff; the remainder past level_cutoff is bounded
+    by :func:`canonical_tail_bound`.  The initial thermal weights are
     decreasing, so the result is non-negative by the entropy-increase
     theorem.
+
+    The gain of level n lies between ``-ln(2n + 1)`` (every
+    ``ln(m + 1/2) >= ln(1/2)``) and ``ln(1 + w/(n + 1/2))`` (Jensen), so
+    the weighted rows after level k add at most a known tail.  The sum
+    stops at the first k whose tail is at most ``2**-54`` of the partial
+    sum, where the rest cannot reach its last bit; a result of 0 or a
+    rule not met by level_cutoff sums every level.  A guess that misses
+    the rule is swept again from level 0, to the level its partial sum
+    asks for; once the missed sweeps and the next would pass half of
+    level_cutoff, the sum sweeps every level instead, so it costs at most
+    1.5 full sweeps.  It gains where the thermal weights fall fast
+    enough to meet the rule before half of level_cutoff: beta of about 1
+    and more at 100 levels.
+
+    Rows are left out only where :func:`_tail_mass_bound` along row
+    level_cutoff shows that none of them has the mass past the top that
+    raises a warning or error: under a fixed top, more than
+    :data:`MASS_DEFICIT_TOL`, so no :class:`TruncationWarning` is lost;
+    adaptively, more than ``tail_mass`` past column ``HARD_CAP - 1``,
+    and with a first top below :data:`HARD_CAP`.  The bound does not
+    cover a row's own rounding: at works near 0 that alone can take an
+    adaptive row of level 60 or more below its target (work 1e-8 at
+    100 levels), and where the sum leaves such rows out it returns a
+    value where the full sum raises :class:`TruncationError`.
     """
     if not 0.0 < inv_temperature < math.inf:
         raise ValueError("inverse temperature must be positive and finite")
     if level_cutoff < 1:
         raise ValueError("level_cutoff must be >= 1")
+    _check_work(work)
+    if policy.top is None:
+        may_cut = (_start_top(level_cutoff, work) < HARD_CAP and _tail_mass_bound(
+            level_cutoff, work, HARD_CAP - 1) <= policy.tail_mass)
+    elif level_cutoff <= policy.top:
+        may_cut = _tail_mass_bound(level_cutoff, work, policy.top) <= MASS_DEFICIT_TOL
+    else:
+        raise ValueError(f"level_cutoff {level_cutoff} is above the top {policy.top}")
     levels = np.arange(level_cutoff + 1)
-    gains = level_entropies(level_cutoff, work, policy) - np.log(levels + 0.5)
     weights = (1.0 - math.exp(-inv_temperature)) * np.exp(-inv_temperature * levels)
-    return float(weights @ gains)
+    caps = np.maximum(np.log(2.0 * levels + 1.0), np.log1p(work / (levels + 0.5)))
+    # tails[k]: bound on the weighted gains of the levels after k
+    tails = np.append(np.cumsum((weights * caps)[:0:-1])[::-1], 0.0)
+    # first guess: where the tail falls below 2**-56 of its whole bound
+    last = int(np.argmax(tails <= 2.0**-56 * tails[0])) if may_cut else level_cutoff
+    missed = 0  # levels swept by guesses that missed the rule
+    while True:
+        if 2 * (missed + last) > level_cutoff:
+            last = level_cutoff
+        gains = level_entropies(last, work, policy) - np.log(levels[: last + 1] + 0.5)
+        partial = np.cumsum(weights[: last + 1] * gains)
+        met = np.flatnonzero(tails[: last + 1] <= 2.0**-54 * np.abs(partial))
+        if may_cut and met.size:
+            last = int(met[0])
+        elif last < level_cutoff:
+            missed += last
+            last = int(np.argmax(tails <= 2.0**-55 * abs(partial[-1])))
+            continue
+        return CanonicalSum(float(weights[: last + 1] @ gains[: last + 1]), last)
+
+
+def canonical_entropy_change(inv_temperature: float, work: float,
+                             level_cutoff: int,
+                             policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """The value of :func:`canonical_sum`."""
+    return canonical_sum(inv_temperature, work, level_cutoff, policy).value
 
 
 def canonical_tail_bound(inv_temperature: float, work: float,

@@ -156,6 +156,18 @@ class TestFig3:
         assert any("tail" in c for c in comments)
         assert any("caption" in c for c in comments)
 
+    @pytest.mark.parametrize("m_trunc", ["1000", "0"])
+    def test_default_thermal_sum_stops_by_level_29(self, runner, tmp_path, m_trunc):
+        out = tmp_path / "fig3.csv"
+        result = runner.invoke(main, ["fig3", "--m-trunc", m_trunc,
+                                      "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        comments, _, _ = read_csv(out)
+        [note] = [c for c in comments if "thermal sum" in c]
+        last = int(note.split("at most level ")[1].split()[0])
+        assert last <= 29
+        assert "of n-trunc 100 " in note
+
     def test_rejects_bad_beta(self, runner, tmp_path):
         result = runner.invoke(
             main, ["fig3", "--beta", "0", "--output", str(tmp_path / "x.csv")]

@@ -74,6 +74,40 @@ def test_underflow_cut_leaves_the_block_unchanged(first, span, extra, work):
         assert np.array_equal(cut, quantum.transition_block(first, last, work, top))
 
 
+@given(st.floats(min_value=0.05, max_value=20.0), WORKS, st.integers(1, 60),
+       st.booleans())
+def test_thermal_cut_matches_the_full_sum(beta, work, cutoff, adaptive):
+    spread = 12.0 * math.sqrt((2 * cutoff + 1) * work + 1.0)
+    policy = (quantum.DEFAULT_POLICY if adaptive else
+              quantum.TruncationPolicy(top=cutoff + int(work + spread) + 30))
+    try:
+        entropies = quantum.level_entropies(cutoff, work, policy)
+    except quantum.TruncationError:
+        # at tiny work the rows carry about (n + m)|ln w| ulps of rounding,
+        # which can exceed the 1e-12 tail target.  The sum then raises
+        # too, or ends before the rows that raise: compare the levels it sums
+        try:
+            total = quantum.canonical_sum(beta, work, cutoff, policy)
+        except quantum.TruncationError:
+            return
+        assert total.last_level < cutoff
+        entropies = quantum.level_entropies(total.last_level, work, policy)
+    levels = np.arange(cutoff + 1)
+    weights = (1.0 - math.exp(-beta)) * np.exp(-beta * levels)
+    summed = levels[: entropies.size]
+    terms = weights[summed] * (entropies - np.log(summed + 0.5))
+    total = quantum.canonical_sum(beta, work, cutoff, policy)
+    full = terms.sum()
+    assert abs(total.value - full) <= (2.0**-54 * abs(full)
+                                       + 4 * 2.0**-52 * np.abs(terms).sum())
+    # a cut ends where the bounded gains of the later levels are at most
+    # 2**-54 of the partial sum
+    caps = np.maximum(np.log(2.0 * levels + 1.0), np.log1p(work / (levels + 0.5)))
+    tail = (weights * caps)[total.last_level + 1 :].sum()
+    assert total.last_level == cutoff or (
+        tail <= 2.0**-54 * abs(terms[: total.last_level + 1].sum()))
+
+
 def near(center, width):
     return st.floats(min_value=center - width, max_value=center + width)
 

@@ -10,6 +10,7 @@ from qentropy.quantum import (
     TruncationError,
     TruncationPolicy,
     canonical_entropy_change,
+    canonical_sum,
     canonical_tail_bound,
     charlier_direct,
     level_entropies,
@@ -446,6 +447,110 @@ class TestCanonical:
             canonical_entropy_change(-1.0, 1.0, 10)
         with pytest.raises(ValueError):
             canonical_entropy_change(1.0, 1.0, 0)
+
+
+def thermal_terms(beta, work, cutoff, policy):
+    """Weighted gains of levels 0..cutoff, every level swept."""
+    levels = np.arange(cutoff + 1)
+    gains = level_entropies(cutoff, work, policy) - np.log(levels + 0.5)
+    return (1.0 - math.exp(-beta)) * np.exp(-beta * levels) * gains
+
+
+def first_level_meeting_the_rule(beta, work, terms):
+    """First k where the weighted gains after k, each bounded by
+    max(ln(2n + 1), ln(1 + w/(n + 1/2))), are at most 2**-54 of the
+    partial sum; the last level if none is."""
+    levels = np.arange(terms.size)
+    caps = np.maximum(np.log(2.0 * levels + 1.0), np.log1p(work / (levels + 0.5)))
+    bounds = (1.0 - math.exp(-beta)) * np.exp(-beta * levels) * caps
+    tails = [bounds[k + 1 :].sum() for k in levels]
+    met = tails <= 2.0**-54 * np.abs(np.cumsum(terms))
+    return int(met.argmax()) if met.any() else terms.size - 1
+
+
+#: The cut and the full sum add the same terms in a different order, from
+#: rows that may be reduced at a different width: a few ulps of sum |term|.
+ROUNDING = 4 * 2.0**-52
+
+
+class TestThermalRowCut:
+    """The canonical sum stops where the remaining levels cannot reach the
+    last bit, and only where no skipped row could warn or raise."""
+
+    WORKS = TestUnderflowTop.FIG3_WORKS[[0, 7, 15, 39, 59, 87, 100, 119]]
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(top=1000), DEFAULT_POLICY],
+                             ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 2.0, 5.0])
+    def test_matches_the_full_sum(self, beta, policy):
+        for work in self.WORKS.tolist():
+            terms = thermal_terms(beta, work, 100, policy)
+            full = float(terms.sum())
+            total = canonical_sum(beta, work, 100, policy)
+            assert total.value == canonical_entropy_change(beta, work, 100, policy)
+            assert abs(total.value - full) <= (
+                2.0**-54 * abs(full) + ROUNDING * np.abs(terms).sum()), work
+            assert total.last_level == first_level_meeting_the_rule(beta, work, terms)
+
+    def test_near_zero_row(self):
+        # T = 22: the smallest value on fig3's grid
+        total = canonical_sum(2.0, float(self.WORKS[5]), 100, TruncationPolicy(top=1000))
+        assert total.value == pytest.approx(2.8e-5, rel=0.01)
+        assert total.last_level < 30
+
+    def test_near_zero_work_leaves_out_the_rows_whose_rounding_raises(self):
+        # rows of level 60 and more carry enough rounding at work 1e-8 to
+        # fall below the 1e-12 tail target, so level_entropies(100, 1e-8)
+        # and the full adaptive sum raise TruncationError, though no mass
+        # is lost; at beta 2 the sum ends before them and returns a value
+        total = canonical_sum(2.0, 1e-8, 100)
+        terms = thermal_terms(2.0, 1e-8, total.last_level, DEFAULT_POLICY)
+        assert total.last_level < 60
+        assert abs(total.value - terms.sum()) <= ROUNDING * np.abs(terms).sum()
+        fixed = canonical_entropy_change(2.0, 1e-8, 100, TruncationPolicy(top=1000))
+        assert total.value == pytest.approx(fixed, rel=1e-6)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 5.0])
+    def test_missed_guesses_sweep_at_most_half_the_levels(self, beta, monkeypatch):
+        sweeps = []
+
+        def recorded(last, work, policy):
+            sweeps.append(last)
+            return level_entropies(last, work, policy)
+
+        monkeypatch.setattr(quantum, "level_entropies", recorded)
+        for work in self.WORKS.tolist():
+            sweeps.clear()
+            canonical_sum(beta, work, 100, TruncationPolicy(top=1000))
+            assert 2 * sum(sweeps[:-1]) <= 100 and sweeps[-1] <= 100, work
+            if beta <= 0.5:
+                assert sweeps == [100], work
+
+    def test_weak_coupling_sums_every_level(self):
+        assert canonical_sum(0.1, 10.0, 100).last_level == 100
+
+    def test_no_drive_sums_every_level(self):
+        assert canonical_sum(2.0, 0.0, 100) == (0.0, 100)
+
+    @pytest.mark.parametrize("work", [3800.0, 4000.0])
+    def test_adaptive_rows_past_the_hard_cap_still_raise(self, work):
+        with pytest.raises(TruncationError):
+            canonical_entropy_change(2.0, work, 100)
+
+    def test_level_above_the_hard_cap_raises(self):
+        with pytest.raises(TruncationError):
+            canonical_entropy_change(2.0, 1.0, quantum.HARD_CAP + 1)
+
+    @pytest.mark.parametrize("last, work, top", [
+        (100, 10.0, 205), (30, 10.0, 100), (0, 1.0, 5), (5, 50.0, 165),
+        (100, 53.0, 405), (100, 2000.0, 1000), (5, 0.0, 5),
+        (100, 1625.0, quantum.HARD_CAP - 1),
+    ])
+    def test_tail_mass_bound_holds(self, last, work, top):
+        bound = quantum._tail_mass_bound(last, work, top)
+        for n in (0, last // 2, last):
+            tail = quantum.transition_block(n, n, work, top + 300)[0, top + 1 :]
+            assert tail.sum() <= bound, n
 
 
 class TestNonFiniteInput:
