@@ -131,10 +131,13 @@ class QuantumStats(NamedTuple):
 def charlier_direct(m: int, n: int, work: float) -> float:
     """Charlier polynomial by its explicit alternating sum.
 
-    The sum is a finite combination of rationals, so it is accumulated
-    in exact rational arithmetic (the float ``work`` is itself a
-    rational) and rounded once on return; a plain floating sum would
-    lose most digits to cancellation already around m = n = 20.
+    The sum is a finite combination of rationals, so it is evaluated
+    exactly (the float ``work`` is itself a rational ``num/den``) and
+    rounded once on return; a plain floating sum would lose most digits
+    to cancellation already around m = n = 20.  With L = min(m, n) the
+    terms share the denominator ``num**L``, so the numerator is summed
+    in integers, ``sum_l (-1)^l C(m, l) C(n, l) l! den^l num^(L-l)``,
+    and only the one quotient is a :class:`~fractions.Fraction`.
     Intended as the reference implementation for small indices; the
     value itself overflows the float range around m = n ~ 170 and is
     then flagged.
@@ -143,13 +146,12 @@ def charlier_direct(m: int, n: int, work: float) -> float:
         raise ValueError("indices must be non-negative")
     if work <= 0.0:
         raise ValueError("work must be positive")
-    inv_work = 1 / Fraction(work)
-    total = Fraction(0)
-    for l in range(min(m, n) + 1):
-        coeff = math.comb(m, l) * math.comb(n, l) * math.factorial(l)
-        total += (-1) ** l * coeff * inv_work**l
+    num, den = Fraction(work).as_integer_ratio()
+    top = min(m, n)
+    total = sum((-1) ** l * math.comb(m, l) * math.comb(n, l) * math.factorial(l)
+                * den**l * num ** (top - l) for l in range(top + 1))
     try:
-        return float(total)
+        return float(Fraction(total, num**top))
     except OverflowError as exc:
         raise ValueError(
             f"direct sum overflows at m={m}, n={n}; use transition_probability"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qentropy import verify
 from qentropy.majorization import (
     DoublyStochasticError,
     ProbabilityVector,
@@ -241,3 +242,107 @@ class TestTheorem:
         evolved = evolve_distribution(p, d)
         assert abs(diagonal_entropy(evolved) - diagonal_entropy(p)) > 1e-6
         assert von_neumann_entropy(p) == von_neumann_entropy(p)
+
+
+def one_dimensional_report(p_weights, q_weights):
+    return entropy_change(ProbabilityVector(p_weights), ProbabilityVector(q_weights))
+
+
+def assert_same_report(stacked, row, b):
+    for name in ("s_initial", "s_final", "delta_direct", "delta_by_parts",
+                 "min_cumulative_gap"):
+        assert getattr(stacked, name)[b] == getattr(row, name), name
+
+
+def byparts_draws(seed, pairs):
+    """The population pairs of ``verify.byparts_identity``, in draw order."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(pairs):
+        dim = int(rng.integers(2, 65))
+        drawn.append((rng.dirichlet(np.ones(dim)), rng.dirichlet(np.ones(dim))))
+    return drawn
+
+
+class TestStacks:
+    """A stack along the last axis gives every row's 1-d result, bit for bit."""
+
+    def test_theorem_stacks_equal_one_dimensional_calls(self):
+        seeds = verify._trial_seeds(5, 40)
+        seen = []
+        for indices, stacked in verify._theorem_reports(5, 40):
+            for b, i in enumerate(indices):
+                dim = verify._THEOREM_DIMS[i % len(verify._THEOREM_DIMS)]
+                p = random_decreasing(dim, np.random.default_rng(seeds[i]))
+                d = random_unistochastic(dim, int(seeds[i]) ^ 0x5EED)
+                assert_same_report(stacked, entropy_change(p, evolve_distribution(p, d)), b)
+                seen.append(i)
+        assert sorted(seen) == list(range(40))
+
+    def test_byparts_stacks_equal_one_dimensional_calls(self):
+        drawn = byparts_draws(8, 200)
+        seen = []
+        for indices, stacked in verify._byparts_reports(8, 200):
+            for b, i in enumerate(indices):
+                assert_same_report(stacked, one_dimensional_report(*drawn[i]), b)
+                seen.append(i)
+        assert sorted(seen) == list(range(200))
+
+    def test_stacked_fields_are_frozen_arrays(self):
+        p = random_decreasing(3, [np.random.default_rng(s) for s in (1, 2)])
+        report = entropy_change(p, evolve_distribution(p, random_unistochastic(3, [3, 4])))
+        assert p.is_decreasing.tolist() == [True, True]
+        assert len(p) == 3
+        for value in (report.delta_direct, report.min_cumulative_gap, p.weights):
+            assert not value.flags.writeable
+        assert report.delta_direct.shape == (2,)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, 1e-11])
+    def test_one_bad_row_rejects_the_stack(self, bad):
+        rows = np.full((3, 4), 0.25)
+        rows[1, 2] += bad
+        with pytest.raises(ValueError):
+            ProbabilityVector(rows)
+
+    def test_drift_names_the_row(self):
+        rows = np.full((3, 2), 0.5)
+        rows[2, 0] += 1e-9
+        with pytest.raises(ValueError, match="in row 2"):
+            ProbabilityVector(rows)
+
+    def test_one_dimensional_rejection_unchanged(self):
+        with pytest.raises(ValueError, match=r"^weights sum to 1\.000000001; "
+                                             r"drift above 1e-12$"):
+            ProbabilityVector([0.5, 0.5 + 1e-9])
+        with pytest.raises(DoublyStochasticError) as info:
+            check_doubly_stochastic([[0.9, 0.1], [0.2, 0.8]], 1e-9)
+        assert (info.value.axis, info.value.index) == ("column", 0)
+        assert type(info.value.index) is int
+
+    def test_bad_matrix_located_in_stack(self):
+        stack = np.array([np.eye(2), [[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.2, 0.8]]])
+        with pytest.raises(DoublyStochasticError) as info:
+            check_doubly_stochastic(stack, 1e-9)
+        assert (info.value.axis, info.value.index) == ("column", (2, 0))
+        assert info.value.deviation == pytest.approx(0.1, abs=1e-12)
+        stack = np.array([np.eye(2), [[1.1, -0.1], [-0.1, 1.1]]])
+        with pytest.raises(DoublyStochasticError) as info:
+            check_doubly_stochastic(stack, 1e-9)
+        assert (info.value.axis, info.value.index) == ("entry", (1, 0))
+
+    def test_stacked_matrices_are_each_unistochastic_draws(self):
+        stack = random_unistochastic(5, [11, 12, 13])
+        for b, seed in enumerate((11, 12, 13)):
+            assert np.array_equal(stack.entries[b], random_unistochastic(5, seed).entries)
+
+    def test_stack_memory_does_not_grow_with_trials(self):
+        for dim in range(1, 65):
+            assert verify._stack_size(dim) * dim**2 <= 2**14
+        drawn = byparts_draws(3, 3000)
+        for indices, _ in verify._byparts_reports(3, 3000):
+            dims = {drawn[i][0].size for i in indices}
+            assert len(dims) == 1
+            assert len(indices) <= verify._stack_size(dims.pop())
+        for indices, _ in verify._theorem_reports(3, 2000):
+            dim = verify._THEOREM_DIMS[indices[0] % len(verify._THEOREM_DIMS)]
+            assert len(indices) <= verify._stack_size(dim)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qentropy import classical, quantum
 from qentropy.majorization import (
@@ -126,3 +127,21 @@ def test_work_table_matches_scalar(amplitude, durations):
     scalar = np.array([classical.work_half_sine(amplitude, t) for t in durations])
     assert table.shape == scalar.shape
     assert np.abs(table - scalar).max() <= 4e-15 * amplitude**2
+
+
+@given(st.integers(1, 8).flatmap(lambda rows: st.integers(1, 64).flatmap(
+    lambda dim: st.tuples(
+        arrays(float, (rows, dim), elements=st.floats(0.0, 1.0)).filter(
+            lambda w: np.all(w.sum(axis=-1) > 1e-3)),
+        st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows)))))
+def test_stack_equals_its_rows(case):
+    weights, seeds = case
+    weights = weights / weights.sum(axis=-1, keepdims=True)
+    p = ProbabilityVector(weights)
+    report = entropy_change(p, evolve_distribution(p, random_unistochastic(len(p), seeds)))
+    for b, (w, seed) in enumerate(zip(weights, seeds)):
+        row = ProbabilityVector(w)
+        alone = entropy_change(row, evolve_distribution(row, random_unistochastic(len(row), seed)))
+        for name in ("s_initial", "s_final", "delta_direct", "delta_by_parts",
+                     "min_cumulative_gap"):
+            assert getattr(report, name)[b] == getattr(alone, name), name
