@@ -244,10 +244,6 @@ class TestTheorem:
         assert von_neumann_entropy(p) == von_neumann_entropy(p)
 
 
-def one_dimensional_report(p_weights, q_weights):
-    return entropy_change(ProbabilityVector(p_weights), ProbabilityVector(q_weights))
-
-
 def assert_same_report(stacked, row, b):
     for name in ("s_initial", "s_final", "delta_direct", "delta_by_parts",
                  "min_cumulative_gap"):
@@ -284,7 +280,8 @@ class TestStacks:
         seen = []
         for indices, stacked in verify._byparts_reports(8, 200):
             for b, i in enumerate(indices):
-                assert_same_report(stacked, one_dimensional_report(*drawn[i]), b)
+                p, q = (ProbabilityVector(w) for w in drawn[i])
+                assert_same_report(stacked, entropy_change(p, q), b)
                 seen.append(i)
         assert sorted(seen) == list(range(200))
 
@@ -338,11 +335,11 @@ class TestStacks:
     def test_stack_memory_does_not_grow_with_trials(self):
         for dim in range(1, 65):
             assert verify._stack_size(dim) * dim**2 <= 2**14
-        drawn = byparts_draws(3, 3000)
-        for indices, _ in verify._byparts_reports(3, 3000):
+        drawn = byparts_draws(3, 1500)
+        for indices, _ in verify._byparts_reports(3, 1500):
             dims = {drawn[i][0].size for i in indices}
             assert len(dims) == 1
             assert len(indices) <= verify._stack_size(dims.pop())
-        for indices, _ in verify._theorem_reports(3, 2000):
+        for indices, _ in verify._theorem_reports(3, 1200):
             dim = verify._THEOREM_DIMS[indices[0] % len(verify._THEOREM_DIMS)]
             assert len(indices) <= verify._stack_size(dim)
