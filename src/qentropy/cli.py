@@ -99,8 +99,9 @@ def _truncation(m_trunc: int, tail_mass: float, level: int,
 def _scan(delta, level: int, amplitude: float, t_min: float, t_max: float,
           t_step: float, m_trunc: int, tail_mass: float) -> list[tuple]:
     """One ``(duration, work, classical, quantum)`` row per duration of the
-    grid, the two changes from ``delta(work, policy)``; ``level`` is the
-    highest initial level, checked with the largest work on the grid."""
+    grid, the two columns of changes from one ``delta(works, policy)``
+    call; ``level`` is the highest initial level, checked with the
+    largest work on the grid."""
     if t_max < t_min:
         raise click.BadParameter("--t-max must be >= --t-min")
     steps = (t_max - t_min) / t_step + 1e-9
@@ -114,8 +115,7 @@ def _scan(delta, level: int, amplitude: float, t_min: float, t_max: float,
     if not np.isfinite(works).all():
         raise click.BadParameter(f"--amplitude {amplitude:g} makes the work overflow")
     policy = _truncation(m_trunc, tail_mass, level, float(works.max()))
-    return [(duration, work, *delta(work, policy))
-            for duration, work in zip(durations.tolist(), works.tolist())]
+    return list(zip(durations.tolist(), works.tolist(), *delta(works, policy)))
 
 
 class _Commands(click.Group):
@@ -193,9 +193,12 @@ def fig2(level, output, **scan):
     """Microcanonical entropy change versus switching time."""
     start = math.log(level + 0.5)
 
-    def delta(work, policy):
-        return (classical.microcanonical_stats(level + 0.5, work).log_mean - start,
-                quantum.microcanonical_stats(level, work, policy).entropy - start)
+    def delta(works, policy):
+        works = works.tolist()
+        return ([classical.microcanonical_stats(level + 0.5, work).log_mean - start
+                 for work in works],
+                [quantum.microcanonical_stats(level, work, policy).entropy - start
+                 for work in works])
 
     _write_csv(output, ["classical change is exactly zero wherever the work "
                         "stays below the initial volume level + 1/2"],
@@ -215,10 +218,11 @@ def fig3(beta, n_trunc, output, **scan):
     """Canonical entropy change versus switching time."""
     last_levels = []
 
-    def delta(work, policy):
-        total = quantum.canonical_sum(beta, work, n_trunc, policy)
-        last_levels.append(total.last_level)
-        return classical.canonical_entropy_change(beta, work), total.value
+    def delta(works, policy):
+        total = quantum.canonical_sum(beta, works, n_trunc, policy)
+        last_levels.extend(total.last_level.tolist())
+        return ([classical.canonical_entropy_change(beta, work) for work in works.tolist()],
+                total.value.tolist())
 
     rows = _scan(delta, n_trunc, **scan)
     tail = quantum.canonical_tail_bound(beta, max(row[1] for row in rows), n_trunc)

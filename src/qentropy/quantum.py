@@ -70,6 +70,13 @@ MASS_DEFICIT_TOL = 1e-9
 #: below about -745.1, so the margin covers the rounding of ``ln p``.
 _UNDERFLOW_LOG = -800.0
 
+#: Most block entries swept at once, 2**17 float64 values (1 MB): a column
+#: of works is swept in chunks of works whose blocks, at the largest rows
+#: and swept columns among them, stay within it (a single work may exceed
+#: it), and the underflow scan and the thermal rule's per-work tables are
+#: sliced to it too.
+_CHUNK_ENTRIES = 2**17
+
 #: ln(k!) for k = 0..size-1; grown on demand by :func:`_log_factorials`.
 _LOG_FACTORIAL = np.zeros(0)
 
@@ -158,26 +165,45 @@ def charlier_direct(m: int, n: int, work: float) -> float:
         ) from exc
 
 
-def _check_work(work: float) -> None:
-    if not 0.0 <= work < math.inf:
-        raise ValueError(f"work must be finite and non-negative, got {work!r}")
+def _check_work(work) -> np.ndarray:
+    """``work``, a float or an array of them, as a float array; each must
+    be finite and non-negative."""
+    works = np.asarray(work, dtype=float)
+    valid = (works >= 0.0) & (works < math.inf)
+    if not valid.all():
+        bad = works[~valid].flat[0].item()
+        raise ValueError(f"work must be finite and non-negative, got {bad!r}")
+    return works
 
 
-def _charlier_sweep(args: np.ndarray, work: float, top_degree: int):
-    """Yield c_k(args; work) for k = 0..top_degree as (mantissa, log scale).
+def _log(works) -> np.ndarray:
+    """ln w of each work by :func:`math.log`, -inf at 0; numpy's vector
+    log can round the last bit differently, and the figures' data was
+    made with this one."""
+    values = [math.log(w) if w > 0.0 else -math.inf for w in np.ravel(works).tolist()]
+    return np.reshape(values, np.shape(works))
 
-    The value is ``mantissa * exp(log scale)``; callers may keep both
-    arrays.  A step divides by the work, which can overflow for tiny
-    work, so below work 1e-100 the mantissa is ``c_k * work**k``.
+
+def _charlier_sweep(works: np.ndarray, args: np.ndarray, top_degree: int):
+    """Yield c_k(args; works) for k = 0..top_degree as (mantissa, log scale).
+
+    Elementwise over ``works`` and ``args``, which broadcast: a column of
+    works against a row of arguments sweeps one row per work.  The value
+    is ``mantissa * exp(log scale)``; callers may keep both arrays.  A
+    step divides by the work, which can overflow for tiny work, so below
+    work 1e-100 the mantissa is ``c_k * work**k``.
     """
-    q, divisor = (work, 1.0) if work < 1e-100 else (1.0, work)
-    c_prev, c, shift = np.ones_like(args), np.ones_like(args), np.zeros_like(args)
+    tiny = works < 1e-100
+    q, divisor = np.where(tiny, works, 1.0), np.where(tiny, 1.0, works)
+    log_q = _log(q) if tiny.any() else None
+    shape = np.broadcast_shapes(works.shape, args.shape)
+    c_prev, c, shift = np.ones(shape), np.ones(shape), np.zeros(shape)
     yield c, shift
     for k in range(top_degree):
         if k == 0:
             c_prev, c = c, q - args / divisor
         else:
-            c_prev, c = c, ((k + work - args) * c - k * q * c_prev) / divisor
+            c_prev, c = c, ((k + works - args) * c - k * q * c_prev) / divisor
         mag = np.maximum(np.abs(c), np.abs(c_prev))
         rescale = (mag > _RESCALE_HI) | ((mag > 0.0) & (mag < _RESCALE_LO))
         if rescale.any():
@@ -185,8 +211,8 @@ def _charlier_sweep(args: np.ndarray, work: float, top_degree: int):
             c = c / factor
             c_prev = c_prev / factor
             shift = shift + np.where(rescale, np.log(factor), 0.0)
-        if q != 1.0:
-            shift = shift - math.log(q)
+        if log_q is not None:
+            shift = shift - log_q
         yield c, shift
 
 
@@ -201,9 +227,9 @@ def _log_factorials(top: int) -> np.ndarray:
     return _LOG_FACTORIAL[: top + 1]
 
 
-def _laguerre_log_bound(last: int, work: float, m):
+def _laguerre_log_bound(last, work, m):
     """Laguerre's bound on ``ln p(last -> m)`` for columns m > last, and
-    where it is monotone.
+    where it is monotone; elementwise over arrays that broadcast.
 
     ``|L_n^(d)(w)| <= C(m, n) e^(w/2)`` (Szego; Abramowitz & Stegun
     22.14.13), d = m - n, gives ``ln p(n -> m) <= d ln w + ln m! - ln n!
@@ -212,71 +238,97 @@ def _laguerre_log_bound(last: int, work: float, m):
     n <= last.
     """
     d = m - last
-    log_factorial = _log_factorials(int(np.max(m, initial=last)))
-    bound = (d * math.log(work) + log_factorial[m] - log_factorial[last]
+    log_factorial = _log_factorials(max(int(np.max(m, initial=0)),
+                                        int(np.max(last, initial=0))))
+    bound = (d * _log(work) + log_factorial[m] - log_factorial[last]
              - 2.0 * log_factorial[d])
     return bound, d * d >= work * (m + 1)
 
 
-def _underflow_top(last: int, work: float, top: int) -> int:
-    """Last column m <= top where some p(n -> m), n <= last, can be non-zero.
+def _underflow_top(last, work, top) -> np.ndarray:
+    """Last column m <= top where some p(n -> m), n <= last, can be non-zero;
+    elementwise over lasts, works and tops that broadcast.
 
     The first column of row ``last`` where :func:`_laguerre_log_bound`
     is monotone and below :data:`_UNDERFLOW_LOG` starts the underflowed
-    tail of every row.
+    tail of every row.  Works are scanned in slices of at most
+    ``_CHUNK_ENTRIES // 8`` columns in all, as the scan holds about eight
+    arrays of that size.
     """
-    m = np.arange(last + 1, top + 1)
-    bound, monotone = _laguerre_log_bound(last, work, m)
-    underflows = monotone & (bound < _UNDERFLOW_LOG)
-    return int(m[underflows.argmax()]) - 1 if underflows.any() else top
+    shape = np.broadcast_shapes(np.shape(last), np.shape(work), np.shape(top))
+    last, work, top = (np.broadcast_to(a, shape).ravel() for a in (last, work, top))
+    stops = top.copy()
+    span = int(np.max(top - last, initial=0))
+    size = _CHUNK_ENTRIES // 8 // max(span, 1) + 1
+    for start in range(0, stops.size if span else 0, size):
+        part = slice(start, start + size)
+        first = last[part, None]
+        m = first + 1 + np.arange(span)
+        bound, monotone = _laguerre_log_bound(first, work[part, None], m)
+        underflows = monotone & (bound < _UNDERFLOW_LOG) & (m <= top[part, None])
+        found = underflows.any(axis=1)
+        stops[part][found] = first[found, 0] + underflows.argmax(axis=1)[found]
+    return stops.reshape(shape)
 
 
-def transition_block(first: int, last: int, work: float, top: int) -> np.ndarray:
-    """p(n -> m) for n = first..last and m = 0..top, clipped to [0, 1].
+def _fill_block(first: int, works: np.ndarray, out: np.ndarray) -> None:
+    """Write p(n -> m) of work ``works[i]`` into ``out[i, n - first, m]``
+    for the rows n = first.. and columns m = 0.. that ``out`` spans.
 
-    One sweep over the arguments first..top: step k adds ``2 ln|c_k|``
-    to row k from the diagonal on and, by symmetry, to column k of every
-    later row.  ``ln p`` is formed in place in the returned array.  The
-    sweep ends at :func:`_underflow_top`; later columns stay 0.0, the
-    value their ``exp`` would round to.
+    One sweep over the arguments first..width - 1 for all works at once:
+    step k adds ``2 ln|c_k|`` to row k from the diagonal on and, by
+    symmetry, to column k of every later row.  ``ln p`` is formed in
+    place in ``out``, entry by entry in the same order for any number of
+    works, so each work's block is the same bit for bit as swept alone.
+    A zero work's block is the identity.
     """
-    if not 0 <= first <= last <= top:
-        raise ValueError(f"need 0 <= first <= last <= top, got {first}, {last}, {top}")
-    _check_work(work)
-    rows = last - first + 1
-    if work == 0.0:
-        return np.eye(rows, top + 1, k=first)
-    stop = _underflow_top(last, work, top)
+    rows, width = out.shape[1:]
+    last = first + rows - 1
+    driven = works > 0.0
+    works = np.where(driven, works, 1.0)
     n = np.arange(first, last + 1)[:, None]
-    m = np.arange(stop + 1)
-    log_factorial = _log_factorials(stop)
-    p = np.zeros((rows, top + 1))
-    log_p = p[:, : stop + 1]
+    m = np.arange(width)
+    log_factorial = _log_factorials(width - 1)
     # -work + (n+m) ln w - ln(max!) - ln(min!) + 2 ln|c|, in this order;
     # (argument, degree) order makes the square part exactly symmetric
     index = n + m
-    np.multiply(index, math.log(work), out=log_p)
-    log_p -= work
-    log_p -= log_factorial[np.maximum(n, m, out=index)]
-    log_p -= log_factorial[np.minimum(n, m, out=index)]
+    np.multiply(index, _log(works)[:, None, None], out=out)
+    out -= works[:, None, None]
+    out -= log_factorial[np.maximum(n, m, out=index)]
+    out -= log_factorial[np.minimum(n, m, out=index)]
     with np.errstate(divide="ignore"):
-        for k, (c, shift) in enumerate(
-            _charlier_sweep(np.arange(first, stop + 1, dtype=float), work, last)
-        ):
+        for k, (c, shift) in enumerate(_charlier_sweep(
+                works[:, None], np.arange(first, width, dtype=float), last)):
             lo = max(k - first, 0)
-            twice_log = np.abs(c[lo:] if k >= first else c[:rows])
+            twice_log = np.abs(c[:, lo:] if k >= first else c[:, :rows])
             np.log(twice_log, out=twice_log)
-            twice_log += shift[lo : lo + twice_log.size]
+            twice_log += shift[:, lo : lo + twice_log.shape[1]]
             twice_log *= 2.0
-            column = log_p[lo:, k]
-            column += twice_log[: rows - lo]
+            out[:, lo:, k] += twice_log[:, : rows - lo]
             if k >= first:
-                row = log_p[lo, k + 1 :]
-                row += twice_log[1:]
+                out[:, lo, k + 1 :] += twice_log[:, 1:]
     with np.errstate(over="ignore"):
-        np.exp(log_p, out=log_p)
-    np.minimum(log_p, 1.0, out=log_p)
-    return p
+        np.exp(out, out=out)
+    np.minimum(out, 1.0, out=out)
+    if not driven.all():
+        out[~driven] = np.eye(rows, width, k=first)
+
+
+def transition_block(first: int, last: int, work, top: int) -> np.ndarray:
+    """p(n -> m) for n = first..last and m = 0..top, clipped to [0, 1];
+    for a 1-d array of works, one such block per work, stacked along a
+    first axis and swept together.
+
+    The sweep ends at the largest :func:`_underflow_top` of the works;
+    later columns stay 0.0, the value their ``exp`` would round to.
+    """
+    if not 0 <= first <= last <= top:
+        raise ValueError(f"need 0 <= first <= last <= top, got {first}, {last}, {top}")
+    works = _check_work(work)
+    stop = int(np.max(_underflow_top(last, works, top), initial=last))
+    p = np.zeros((works.size, last - first + 1, top + 1))
+    _fill_block(first, works.reshape(-1), p[..., : stop + 1])
+    return p.reshape(works.shape + p.shape[1:])
 
 
 def transition_probability(n: int, m: int, work: float) -> float:
@@ -293,13 +345,14 @@ def transition_probability(n: int, m: int, work: float) -> float:
     return float(transition_block(low, low, work, high)[0, high])
 
 
-def _start_top(last: int, work: float) -> int:
+def _start_top(last, work):
     """First top an adaptive block of rows up to ``last`` is swept to."""
-    return int(last + work + 12.0 * math.sqrt((last + 0.5) * work + 1.0) + 30.0)
+    return (last + work + 12.0 * np.sqrt((last + 0.5) * work + 1.0) + 30.0).astype(int)
 
 
-def _tail_mass_bound(last: int, work: float, top: int) -> float:
-    """Bound on the mass past column ``top >= last`` of every row n <= last.
+def _tail_mass_bound(last, work, top):
+    """Bound on the mass past column ``top >= last`` of every row n <= last;
+    elementwise over arrays that broadcast.
 
     From column m to m + 1 of row ``last``, :func:`_laguerre_log_bound`
     changes by ``ln(w (m + 1) / (d + 1)**2)``.  Where the bound is
@@ -307,58 +360,118 @@ def _tail_mass_bound(last: int, work: float, top: int) -> float:
     the first term past the top over one minus the ratio bounds the tail
     of every row; inf where it is not.
     """
-    if work == 0.0:
-        return 0.0
     m, d = top + 1, top + 1 - last
     log_bound, monotone = _laguerre_log_bound(last, work, m)
-    if not monotone:
-        return math.inf
     # a bound past 1 says nothing, and capped its exp cannot overflow
-    return math.exp(min(log_bound, 0.0)) / (1.0 - work * (m + 1) / (d + 1) ** 2)
+    with np.errstate(divide="ignore"):
+        tail = np.exp(np.minimum(log_bound, 0.0)) / (1.0 - work * (m + 1) / (d + 1) ** 2)
+    return np.where(monotone, tail, math.inf)
 
 
-def _truncated_rows(first: int, last: int, work: float, policy: TruncationPolicy):
-    """Rows first..last truncated by ``policy``.
+def _chunks(rows: list, widths: list):
+    """Slices of consecutive works swept as one block, with the block's
+    shape: at least one work each, and at most :data:`_CHUNK_ENTRIES`
+    entries at the largest rows and widths among them."""
+    start = 0
+    while start < len(rows):
+        stop, most_rows, most_width = start + 1, rows[start], widths[start]
+        while stop < len(rows):
+            grown_rows = max(most_rows, rows[stop])
+            grown_width = max(most_width, widths[stop])
+            if (stop + 1 - start) * grown_rows * grown_width > _CHUNK_ENTRIES:
+                break
+            stop, most_rows, most_width = stop + 1, grown_rows, grown_width
+        yield slice(start, stop), (stop - start, most_rows, most_width)
+        start = stop
 
-    Returns the block, zero past each row's cut, with each row's length
-    and captured mass.  Under a fixed cut, a :class:`TruncationWarning`
-    names the row that leaves out most mass if that exceeds
-    :data:`MASS_DEFICIT_TOL`.
+
+def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
+                    policy: TruncationPolicy, failed: dict | None = None):
+    """Rows first..lasts[i] out of each work ``works[i]``, truncated by
+    ``policy``.
+
+    Yields ``(i, p, lengths, captured)`` once per work, in no set order:
+    ``p`` holds the rows, zero past each row's cut, up to the last column
+    the work's own sweep reaches, with each row's length and captured
+    mass.  ``p`` is a view that the next item may overwrite.  Consecutive works are swept together, in :func:`_chunks` of
+    their own rows and swept columns; each work is judged on its own rows
+    and columns only, so it yields what it would alone.  Under a fixed
+    cut, a :class:`TruncationWarning` names the row of a work that leaves
+    out most mass if that exceeds :data:`MASS_DEFICIT_TOL`.  Adaptively,
+    a row below the target at :data:`HARD_CAP` raises
+    :class:`TruncationError`; given a dict ``failed``, the error is
+    stored there under the work's index instead and the work left out.
     """
-    if policy.top is not None:
-        p = transition_block(first, last, work, policy.top)
-        captured = p.sum(axis=1)
-        short = int(captured.argmin())
-        if 1.0 - captured[short] > MASS_DEFICIT_TOL:
-            warnings.warn(
-                f"row of level {first + short} keeps mass "
-                f"{captured[short]:.15f} at the fixed top {policy.top} "
-                f"(work={work}); raise the top",
-                TruncationWarning,
-                stacklevel=3,
-            )
-        return p, np.full(p.shape[0], p.shape[1]), captured
-    if HARD_CAP < last:
-        raise TruncationError(f"hard cap {HARD_CAP} is below level {last}")
-    _check_work(work)
+    lasts = np.asarray(lasts)
+    fixed = policy.top is not None
+    if fixed:
+        if not 0 <= first <= lasts.min() <= lasts.max() <= policy.top:
+            raise ValueError(f"need 0 <= first <= last <= top, got {first}, "
+                             f"{lasts.max()}, {policy.top}")
+        tops = np.full(works.size, policy.top)
+    else:
+        if HARD_CAP < lasts.max():
+            raise TruncationError(f"hard cap {HARD_CAP} is below level {lasts.max()}")
+        tops = np.minimum(_start_top(lasts, works), HARD_CAP)
     target = 1.0 - policy.tail_mass
-    top = min(_start_top(last, work), HARD_CAP)
-    while True:
-        p = transition_block(first, last, work, top)
-        cumulative = np.cumsum(p, axis=1)
-        lengths = np.sum(cumulative < target, axis=1) + 1
-        if lengths.max() <= top:
-            break
-        if top >= HARD_CAP:
-            short = int(lengths.argmax())
-            raise TruncationError(
-                f"mass {cumulative[short, -1]:.15f} below target {target:.15f} "
-                f"at the hard cap {HARD_CAP} (level={first + short}, "
-                f"work={work})"
-            )
-        top = min(2 * top + 16, HARD_CAP)
-    p[np.arange(top + 1) >= lengths[:, None]] = 0.0
-    return p, lengths, cumulative[np.arange(lengths.size), lengths - 1]
+    listed = works.tolist()
+    pending = np.arange(works.size)
+    while pending.size:
+        stops = np.broadcast_to(
+            _underflow_top(lasts[pending], works[pending], tops[pending]), pending.shape)
+        regrow = []
+        chunks = list(_chunks((lasts[pending] - first + 1).tolist(), (stops + 1).tolist()))
+        # one buffer serves every chunk: a chunk's rows are read as they
+        # are yielded, before the next chunk is swept over them
+        buffer = np.empty(max(math.prod(shape) for _, shape in chunks))
+        for chunk, shape in chunks:
+            indices = pending[chunk].tolist()
+            rows = (lasts[indices] - first + 1).tolist()
+            widths = (stops[chunk] + 1).tolist()
+            block = buffer[: math.prod(shape)].reshape(shape)
+            _fill_block(first, works[indices], block)
+            for p, i, row_count, width in zip(block, indices, rows, widths):
+                p = p[:row_count, :width]
+                if fixed:
+                    captured = p.sum(axis=1)
+                    short = int(captured.argmin())
+                    if 1.0 - captured[short] > MASS_DEFICIT_TOL:
+                        warnings.warn(
+                            f"row of level {first + short} keeps mass "
+                            f"{captured[short]:.15f} at the fixed top {policy.top} "
+                            f"(work={listed[i]}); raise the top",
+                            TruncationWarning,
+                            stacklevel=3,
+                        )
+                    yield i, p, np.full(row_count, policy.top + 1), captured
+                    continue
+                cumulative = np.cumsum(p, axis=1)
+                missed = cumulative[:, -1] < target
+                if not missed.any():
+                    lengths = np.sum(cumulative < target, axis=1) + 1
+                    p[np.arange(width) >= lengths[:, None]] = 0.0
+                    yield i, p, lengths, cumulative[np.arange(row_count), lengths - 1]
+                elif tops[i] < HARD_CAP:
+                    tops[i] = min(2 * tops[i] + 16, HARD_CAP)
+                    regrow.append(i)
+                else:
+                    short = int(missed.argmax())
+                    error = TruncationError(
+                        f"mass {cumulative[short, -1]:.15f} below target {target:.15f} "
+                        f"at the hard cap {HARD_CAP} (level={first + short}, "
+                        f"work={listed[i]})"
+                    )
+                    if failed is None:
+                        raise error
+                    failed[i] = error
+        pending = np.array(regrow, dtype=int)
+
+
+def _one_work(first: int, last: int, work, policy: TruncationPolicy):
+    """The ``(p, lengths, captured)`` of :func:`_truncated_rows` for one work."""
+    works = _check_work(work).reshape(1)
+    [(_, *rows)] = _truncated_rows(first, np.array([last]), works, policy)
+    return rows
 
 
 def transition_row(level: int, work: float,
@@ -366,8 +479,10 @@ def transition_row(level: int, work: float,
     """Row of transition probabilities out of ``level``, cut by ``policy``."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    p, lengths, captured = _truncated_rows(level, level, work, policy)
-    return TransitionRow(level, work, p[0, : lengths[0]], float(captured[0]))
+    p, lengths, captured = _one_work(level, level, work, policy)
+    row = np.zeros(lengths[0])
+    row[: p.shape[1]] = p[0, : row.size]
+    return TransitionRow(level, work, row, float(captured[0]))
 
 
 def microcanonical_stats(level: int, work: float,
@@ -391,19 +506,33 @@ def level_entropies(last: int, work: float,
                     policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Row entropies ``sum_m p(n -> m) ln(m + 1/2)`` for n = 0..last,
     reduced over one block of rows cut by ``policy``."""
-    p, _, _ = _truncated_rows(0, last, work, policy)
+    p, _, _ = _one_work(0, last, work, policy)
     return p @ np.log(np.arange(p.shape[1]) + 0.5)
 
 
+def _level_gains(lasts: np.ndarray, works: np.ndarray, policy: TruncationPolicy,
+                 failed: dict) -> np.ndarray:
+    """Entropy gains ``sum_m p(n -> m) ln(m + 1/2) - ln(n + 1/2)`` of the
+    rows n = 0..lasts[i] of each work, zero past each work's last row;
+    works that fail are stored in ``failed`` (see :func:`_truncated_rows`)."""
+    gains = np.zeros((works.size, int(lasts.max()) + 1))
+    log_levels = np.log(np.arange((policy.top or HARD_CAP) + 1) + 0.5)
+    for i, p, _, _ in _truncated_rows(0, lasts, works, policy, failed):
+        rows, width = p.shape
+        gains[i, :rows] = p @ log_levels[:width] - log_levels[:rows]
+    return gains
+
+
 class CanonicalSum(NamedTuple):
-    value: float
-    last_level: int
+    value: float | np.ndarray
+    last_level: int | np.ndarray
 
 
-def canonical_sum(inv_temperature: float, work: float, level_cutoff: int,
+def canonical_sum(inv_temperature: float, work, level_cutoff: int,
                   policy: TruncationPolicy = DEFAULT_POLICY) -> CanonicalSum:
     """Entropy change of a thermal level ensemble after the drive, and the
-    last level whose gain it sums.
+    last level whose gain it sums; for a 1-d array of works, both for
+    every work of the column, as arrays.
 
     Geometric-weighted sum of the microcanonical entropy gains over
     levels 0..level_cutoff; the remainder past level_cutoff is bounded
@@ -424,6 +553,14 @@ def canonical_sum(inv_temperature: float, work: float, level_cutoff: int,
     enough to meet the rule before half of level_cutoff: beta of about 1
     and more at 100 levels.
 
+    A column is sorted by work and taken in stages: the first guesses of
+    every work, then the sweeps again of the works that missed, each
+    stage swept in chunks of consecutive works (:func:`_truncated_rows`).
+    Every work gets the value, last level, warning or error it would get
+    alone; where several works raise, the error is the first one's in
+    the column's order.  The per-work tables of the rule hold at most
+    :data:`_CHUNK_ENTRIES` entries, so longer columns go in groups.
+
     Rows are left out only where :func:`_tail_mass_bound` along row
     level_cutoff shows that none of them has the mass past the top that
     raises a warning or error: under a fixed top, more than
@@ -439,40 +576,77 @@ def canonical_sum(inv_temperature: float, work: float, level_cutoff: int,
         raise ValueError("inverse temperature must be positive and finite")
     if level_cutoff < 1:
         raise ValueError("level_cutoff must be >= 1")
-    _check_work(work)
-    if policy.top is None:
-        may_cut = (_start_top(level_cutoff, work) < HARD_CAP and _tail_mass_bound(
-            level_cutoff, work, HARD_CAP - 1) <= policy.tail_mass)
-    elif level_cutoff <= policy.top:
-        may_cut = _tail_mass_bound(level_cutoff, work, policy.top) <= MASS_DEFICIT_TOL
-    else:
+    works = _check_work(work)
+    if policy.top is not None and level_cutoff > policy.top:
         raise ValueError(f"level_cutoff {level_cutoff} is above the top {policy.top}")
+    flat = works.reshape(-1)
+    values, last_levels = np.zeros(flat.size), np.zeros(flat.size, dtype=int)
+    failed = {}
+    order = np.argsort(flat, kind="stable")
+    size = max(1, _CHUNK_ENTRIES // (level_cutoff + 1))
+    for start in range(0, order.size, size):
+        group = order[start : start + size]
+        group_failed = {}
+        values[group], last_levels[group] = _thermal_sums(
+            inv_temperature, flat[group], level_cutoff, policy, group_failed)
+        failed.update((int(group[k]), error) for k, error in group_failed.items())
+    if failed:
+        raise failed[min(failed)]
+    if works.ndim == 0:
+        return CanonicalSum(float(values[0]), int(last_levels[0]))
+    return CanonicalSum(values, last_levels)
+
+
+def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
+                  policy: TruncationPolicy, failed: dict):
+    """Values and last levels of :func:`canonical_sum` for a group of works;
+    works that fail are stored in ``failed`` by their index."""
+    count = works.size
+    if policy.top is None:
+        may_cut = _start_top(level_cutoff, works) < HARD_CAP
+        may_cut[may_cut] = _tail_mass_bound(
+            level_cutoff, works[may_cut], HARD_CAP - 1) <= policy.tail_mass
+    else:
+        may_cut = _tail_mass_bound(level_cutoff, works, policy.top) <= MASS_DEFICIT_TOL
     levels = np.arange(level_cutoff + 1)
     weights = (1.0 - math.exp(-inv_temperature)) * np.exp(-inv_temperature * levels)
-    caps = np.maximum(np.log(2.0 * levels + 1.0), np.log1p(work / (levels + 0.5)))
-    # tails[k]: bound on the weighted gains of the levels after k
-    tails = np.append(np.cumsum((weights * caps)[:0:-1])[::-1], 0.0)
+    caps = np.maximum(np.log(2.0 * levels + 1.0),
+                      np.log1p(works[:, None] / (levels + 0.5)))
+    # tails[:, k]: bound on the weighted gains of the levels after k
+    tails = np.zeros_like(caps)
+    tails[:, :-1] = np.cumsum((weights * caps)[:, :0:-1], axis=1)[:, ::-1]
     # first guess: where the tail falls below 2**-56 of its whole bound
-    last = int(np.argmax(tails <= 2.0**-56 * tails[0])) if may_cut else level_cutoff
-    missed = 0  # levels swept by guesses that missed the rule
-    while True:
-        if 2 * (missed + last) > level_cutoff:
-            last = level_cutoff
-        gains = level_entropies(last, work, policy) - np.log(levels[: last + 1] + 0.5)
-        partial = np.cumsum(weights[: last + 1] * gains)
-        met = np.flatnonzero(tails[: last + 1] <= 2.0**-54 * np.abs(partial))
-        if may_cut and met.size:
-            last = int(met[0])
-        elif last < level_cutoff:
-            missed += last
-            last = int(np.argmax(tails <= 2.0**-55 * abs(partial[-1])))
-            continue
-        return CanonicalSum(float(weights[: last + 1] @ gains[: last + 1]), last)
+    last = np.where(may_cut, np.argmax(tails <= 2.0**-56 * tails[:, :1], axis=1),
+                    level_cutoff)
+    missed = np.zeros(count, dtype=int)  # levels swept by guesses that missed
+    values, last_levels = np.zeros(count), np.full(count, level_cutoff)
+    active = np.arange(count)
+    while active.size:
+        lasts = np.where(2 * (missed[active] + last[active]) > level_cutoff,
+                         level_cutoff, last[active])
+        stage_failed = {}
+        gains = _level_gains(lasts, works[active], policy, stage_failed)
+        failed.update((int(active[k]), error) for k, error in stage_failed.items())
+        partial = np.cumsum(weights[: gains.shape[1]] * gains, axis=1)
+        own = levels[: gains.shape[1]] <= lasts[:, None]
+        met = own & (tails[active, : gains.shape[1]] <= 2.0**-54 * np.abs(partial))
+        hit = may_cut[active] & met.any(axis=1)
+        ends = np.where(hit, met.argmax(axis=1), lasts)
+        retry = ~hit & (lasts < level_cutoff)
+        retry[list(stage_failed)] = False
+        for k in np.flatnonzero(~retry).tolist():
+            end = ends[k] + 1
+            values[active[k]] = weights[:end] @ gains[k, :end]
+            last_levels[active[k]] = ends[k]
+        whole = np.abs(partial[np.arange(active.size), lasts])[retry]
+        active = active[retry]
+        missed[active] += lasts[retry]
+        last[active] = np.argmax(tails[active] <= 2.0**-55 * whole[:, None], axis=1)
+    return values, last_levels
 
 
-def canonical_entropy_change(inv_temperature: float, work: float,
-                             level_cutoff: int,
-                             policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def canonical_entropy_change(inv_temperature: float, work, level_cutoff: int,
+                             policy: TruncationPolicy = DEFAULT_POLICY):
     """The value of :func:`canonical_sum`."""
     return canonical_sum(inv_temperature, work, level_cutoff, policy).value
 

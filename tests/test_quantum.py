@@ -512,19 +512,22 @@ class TestThermalRowCut:
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_missed_guesses_sweep_at_most_half_the_levels(self, beta, monkeypatch):
-        sweeps = []
+        # the last row each work is swept to, stage by stage, in one column
+        sweeps = {}
+        truncated_rows = quantum._truncated_rows
 
-        def recorded(last, work, policy):
-            sweeps.append(last)
-            return level_entropies(last, work, policy)
+        def recorded(first, lasts, works, policy, failed=None):
+            for last, work in zip(lasts.tolist(), works.tolist()):
+                sweeps.setdefault(work, []).append(last)
+            return truncated_rows(first, lasts, works, policy, failed)
 
-        monkeypatch.setattr(quantum, "level_entropies", recorded)
-        for work in self.WORKS.tolist():
-            sweeps.clear()
-            canonical_sum(beta, work, 100, TruncationPolicy(top=1000))
-            assert 2 * sum(sweeps[:-1]) <= 100 and sweeps[-1] <= 100, work
+        monkeypatch.setattr(quantum, "_truncated_rows", recorded)
+        canonical_sum(beta, self.WORKS, 100, TruncationPolicy(top=1000))
+        assert sorted(sweeps) == sorted(self.WORKS.tolist())
+        for work, lasts in sweeps.items():
+            assert 2 * sum(lasts[:-1]) <= 100 and lasts[-1] <= 100, work
             if beta <= 0.5:
-                assert sweeps == [100], work
+                assert lasts == [100], work
 
     def test_weak_coupling_sums_every_level(self):
         assert canonical_sum(0.1, 10.0, 100).last_level == 100
