@@ -391,9 +391,10 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
     ``policy``.
 
     Yields ``(i, p, lengths, captured)`` once per work, in no set order:
-    ``p`` holds the rows, zero past each row's cut, up to the last column
-    the work's own sweep reaches, with each row's length and captured
-    mass.  ``p`` is a view that the next item may overwrite.  Consecutive works are swept together, in :func:`_chunks` of
+    ``p`` holds the rows up to the last column the work's own sweep
+    reaches, each row cut at its length (under a fixed cut, ``top + 1``),
+    with its captured mass.  ``p`` is a view that the next item may
+    overwrite.  Consecutive works are swept together, in :func:`_chunks` of
     their own rows and swept columns; each work is judged on its own rows
     and columns only, so it yields what it would alone.  Under a fixed
     cut, a :class:`TruncationWarning` names the row of a work that leaves
@@ -449,7 +450,6 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
                 missed = cumulative[:, -1] < target
                 if not missed.any():
                     lengths = np.sum(cumulative < target, axis=1) + 1
-                    p[np.arange(width) >= lengths[:, None]] = 0.0
                     yield i, p, lengths, cumulative[np.arange(row_count), lengths - 1]
                 elif tops[i] < HARD_CAP:
                     tops[i] = min(2 * tops[i] + 16, HARD_CAP)
@@ -506,20 +506,31 @@ def level_entropies(last: int, work: float,
                     policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Row entropies ``sum_m p(n -> m) ln(m + 1/2)`` for n = 0..last,
     reduced over one block of rows cut by ``policy``."""
-    p, _, _ = _one_work(0, last, work, policy)
-    return p @ np.log(np.arange(p.shape[1]) + 0.5)
+    p, lengths, _ = _one_work(0, last, work, policy)
+    columns = np.arange(p.shape[1])
+    return np.where(columns < lengths[:, None], p, 0.0) @ np.log(columns + 0.5)
 
 
 def _level_gains(lasts: np.ndarray, works: np.ndarray, policy: TruncationPolicy,
                  failed: dict) -> np.ndarray:
-    """Entropy gains ``sum_m p(n -> m) ln(m + 1/2) - ln(n + 1/2)`` of the
-    rows n = 0..lasts[i] of each work, zero past each work's last row;
-    works that fail are stored in ``failed`` (see :func:`_truncated_rows`)."""
+    """Entropy gains of the rows n = 0..lasts[i] of each work: the cut
+    row's ``sum_m p(n -> m) ln(m + 1/2)`` less ``ln(n + 1/2)``, zero past
+    each work's last row; works that fail are stored in ``failed`` (see
+    :func:`_truncated_rows`).
+
+    Each entry adds ``p ln((m + 1/2)/(n + 1/2))``, exactly 0 at m = n,
+    and an entry past an adaptive cut, which the cut row's sum leaves
+    out, adds ``-p ln(n + 1/2)``: a weak drive's gain, of the order of
+    the work, is then not the difference of two sums of order
+    ``ln(n + 1/2)``.
+    """
     gains = np.zeros((works.size, int(lasts.max()) + 1))
     log_levels = np.log(np.arange((policy.top or HARD_CAP) + 1) + 0.5)
-    for i, p, _, _ in _truncated_rows(0, lasts, works, policy, failed):
+    for i, p, lengths, _ in _truncated_rows(0, lasts, works, policy, failed):
         rows, width = p.shape
-        gains[i, :rows] = p @ log_levels[:width] - log_levels[:rows]
+        ratios = np.where(np.arange(width) < lengths[:, None], log_levels[:width], 0.0)
+        ratios -= log_levels[:rows, None]
+        gains[i, :rows] = np.sum(p * ratios, axis=1)
     return gains
 
 

@@ -437,6 +437,20 @@ class TestCanonical:
             gain0, abs=1e-15
         )
 
+    @pytest.mark.parametrize("work", [1e-15, 1e-20])
+    def test_weak_drive_gain_is_first_order(self, work):
+        # every term of a row's gain is p ln((m + 1/2)/(n + 1/2)), so none
+        # of order ln(n + 1/2) cancels: to first order in the work, level n
+        # gains (n+1) ln((n+3/2)/(n+1/2)) + n ln((n-1/2)/(n+1/2)) per unit work
+        n = np.arange(101)
+        coefficients = (n + 1) * np.log((n + 1.5) / (n + 0.5)) + n * np.log(
+            np.abs(n - 0.5) / (n + 0.5))
+        weights = (1.0 - math.exp(-2.0)) * np.exp(-2.0 * n)
+        value = canonical_entropy_change(2.0, work, 100, TruncationPolicy(top=1000))
+        assert value >= 0.0
+        first_order = work * (weights @ coefficients)
+        assert value == pytest.approx(first_order, rel=1e-9, abs=0.0)
+
     def test_tail_bound_dominates_truncation_error(self):
         value_30 = canonical_entropy_change(0.5, 5.0, 30)
         value_100 = canonical_entropy_change(0.5, 5.0, 100)
@@ -450,9 +464,9 @@ class TestCanonical:
 
 
 def thermal_terms(beta, work, cutoff, policy):
-    """Weighted gains of levels 0..cutoff, every level swept."""
+    """Weighted gains of levels 0..cutoff, every level swept in one block."""
     levels = np.arange(cutoff + 1)
-    gains = level_entropies(cutoff, work, policy) - np.log(levels + 0.5)
+    [gains] = quantum._level_gains(np.array([cutoff]), np.array([work]), policy, None)
     return (1.0 - math.exp(-beta)) * np.exp(-beta * levels) * gains
 
 
