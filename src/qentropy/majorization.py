@@ -218,15 +218,15 @@ def check_doubly_stochastic(matrix, tol: float) -> TransitionMatrix:
     """Validate a raw square matrix, or a stack of them, as doubly
     stochastic.
 
-    Every entry must be non-negative and every row and column sum must
-    lie within ``tol`` of 1.  Raises :class:`DoublyStochasticError`
+    Every entry must be non-negative (a NaN entry is an ``entry``
+    violation) and every row and column sum must lie within ``tol`` of 1.  Raises :class:`DoublyStochasticError`
     carrying the worst violation and its location; in a stack the
     location names the matrix too.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
-    if np.any(m < 0.0):
+    if not np.all(m >= 0.0):  # also false for NaN, which min() carries
         raise DoublyStochasticError("entry", *_worst(-m.min(axis=-1)))
     row_dev = np.abs(m.sum(axis=-1) - 1.0)
     col_dev = np.abs(m.sum(axis=-2) - 1.0)

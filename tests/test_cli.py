@@ -252,6 +252,19 @@ def test_truncation_error_is_one_line(runner, tmp_path, args):
     assert not out.exists()
 
 
+def test_tiny_work_adaptive_rows_still_raise(runner, tmp_path):
+    # work 7.8e-13: the rows' own rounding takes level 90 below the 1e-12
+    # tail target though no mass is lost (a known limit of the adaptive cut)
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["fig3", "--m-trunc", "0", "--t-min", "21.99115",
+                                  "--t-max", "21.99115", "--output", str(out)])
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: mass 0.999999999998794 below target 0.999999999999000 at the hard "
+        "cap 5000 (level=90, work=7.772082824405806e-13)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("figure", ["fig2", "fig3"])
 def test_rejects_amplitude_whose_work_overflows(runner, tmp_path, figure):
     out = tmp_path / "out.csv"

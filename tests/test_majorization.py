@@ -177,6 +177,15 @@ class TestCheckDoublyStochastic:
             check_doubly_stochastic([[1.1, -0.1], [-0.1, 1.1]], 1e-6)
         assert info.value.axis == "entry"
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(DoublyStochasticError) as info:
+            check_doubly_stochastic([[math.nan, 0.0], [0.0, 1.0]], 1e-9)
+        assert (info.value.axis, info.value.index) == ("entry", 0)
+        stack = np.array([np.eye(2), np.eye(2), [[1.0, 0.0], [0.0, math.nan]]])
+        with pytest.raises(DoublyStochasticError) as info:
+            check_doubly_stochastic(stack, 1e-9)
+        assert (info.value.axis, info.value.index) == ("entry", (2, 1))
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             check_doubly_stochastic(np.ones((2, 3)) / 3.0, 1e-9)

@@ -75,6 +75,19 @@ def test_underflow_cut_leaves_the_block_unchanged(first, span, extra, work):
         assert np.array_equal(cut, quantum.transition_block(first, last, work, top))
 
 
+@given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 200),
+       st.lists(st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e-100),
+                          st.floats(min_value=0.0, max_value=700.0)),
+                min_size=1, max_size=6))
+def test_batched_block_equals_its_works(first, span, extra, works):
+    last = first + span
+    top = last + extra
+    batched = quantum.transition_block(first, last, np.array(works), top)
+    assert batched.shape == (len(works), span + 1, top + 1)
+    for block, work in zip(batched, works):
+        assert np.array_equal(block, quantum.transition_block(first, last, work, top))
+
+
 @given(st.floats(min_value=0.05, max_value=20.0), WORKS, st.integers(1, 60),
        st.booleans())
 def test_thermal_cut_matches_the_full_sum(beta, work, cutoff, adaptive):

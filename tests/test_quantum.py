@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -568,6 +570,87 @@ class TestThermalRowCut:
         for n in (0, last // 2, last):
             tail = quantum.transition_block(n, n, work, top + 300)[0, top + 1 :]
             assert tail.sum() <= bound, n
+
+
+class TestColumn:
+    """A column of works swept together gives every work what it gets
+    alone, bit for bit, with the same warnings and errors."""
+
+    WORKS = TestUnderflowTop.FIG3_WORKS
+    SAMPLED = [0, 7, 15, 39, 59, 87, 100, 119]
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(top=1000), DEFAULT_POLICY],
+                             ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 5.0])
+    def test_column_equals_its_works(self, beta, policy):
+        works = np.r_[self.WORKS, 0.0, 1e-3]
+        column = canonical_sum(beta, works, 100, policy)
+        assert column.value.shape == column.last_level.shape == works.shape
+        for k in self.SAMPLED + [120, 121]:
+            alone = canonical_sum(beta, float(works[k]), 100, policy)
+            assert column.value[k] == alone.value, k
+            assert column.last_level[k] == alone.last_level, k
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(top=1000), DEFAULT_POLICY],
+                             ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("beta", [0.1, 2.0])
+    def test_chunks_stay_within_their_budget(self, beta, policy, monkeypatch):
+        assert quantum._CHUNK_ENTRIES == 2**17
+        shapes = []
+        fill_block = quantum._fill_block
+
+        def recorded(first, works, out):
+            shapes.append(out.shape)
+            return fill_block(first, works, out)
+
+        monkeypatch.setattr(quantum, "_fill_block", recorded)
+        canonical_sum(beta, self.WORKS, 100, policy)
+        assert max(count for count, _, _ in shapes) > 1
+        for shape in shapes:
+            assert math.prod(shape) <= quantum._CHUNK_ENTRIES, shape
+
+    def test_fixed_cut_warns_once_per_work(self):
+        works = [10.0, 0.5, 12.0, 1e-3]
+        policy = TruncationPolicy(top=60)
+        expected = []
+        for work in works:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                canonical_sum(2.0, work, 30, policy)
+            expected += [str(w.message) for w in caught]
+        assert len(expected) == 2
+        assert all(re.match(r"row of level 30 keeps mass 0\.\d{15} at the fixed top "
+                            r"60 \(work=.*\); raise the top$", text) for text in expected)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            canonical_sum(2.0, np.array(works), 30, policy)
+        assert sorted(str(w.message) for w in caught) == sorted(expected)
+        assert all(issubclass(w.category, quantum.TruncationWarning) for w in caught)
+
+    @pytest.mark.parametrize("works", [[1.0, 1e-15, 1e-20, 5.0], [1.0, 1e-20, 1e-15, 5.0]])
+    def test_error_names_the_first_failing_work(self, works):
+        # at beta 0.1 both tiny works sum every level and raise; sorted
+        # by work the column meets 1e-20 first
+        with pytest.raises(TruncationError) as first:
+            canonical_sum(0.1, works[1], 100)
+        with pytest.raises(TruncationError) as column:
+            canonical_sum(0.1, np.array(works), 100)
+        assert str(column.value) == str(first.value)
+
+    def test_rows_past_a_work_are_not_judged(self):
+        # work 1e-8 to row 30 is swept with a chunk-mate to row 100, the
+        # same work, whose rows of level 60 and more fall below the
+        # adaptive target by rounding; rows 0..30 pass
+        failed, yielded = {}, {}
+        works = np.array([1e-8, 1e-8])
+        for i, *rows in quantum._truncated_rows(0, np.array([30, 100]), works,
+                                                DEFAULT_POLICY, failed):
+            yielded[i] = [np.copy(a) for a in rows]
+        assert list(yielded) == [0] and list(failed) == [1]
+        [(_, *alone)] = quantum._truncated_rows(0, np.array([30]), works[:1],
+                                                DEFAULT_POLICY)
+        for got, want in zip(yielded[0], alone):
+            assert np.array_equal(got, want)
 
 
 class TestNonFiniteInput:
