@@ -185,35 +185,40 @@ def _log(works) -> np.ndarray:
 
 
 def _charlier_sweep(works: np.ndarray, args: np.ndarray, top_degree: int):
-    """Yield c_k(args; works) for k = 0..top_degree as (mantissa, log scale).
+    """Yield |c_k(args; works)| for k = 0..top_degree as (mantissa, log
+    scale).
 
     Elementwise over ``works`` and ``args``, which broadcast: a column of
     works against a row of arguments sweeps one row per work.  The value
     is ``mantissa * exp(log scale)``; callers may keep both arrays.  A
     step divides by the work, which can overflow for tiny work, so below
-    work 1e-100 the mantissa is ``c_k * work**k``.
+    work 1e-100 the mantissa is ``|c_k| * work**k``.
     """
     tiny = works < 1e-100
     q, divisor = np.where(tiny, works, 1.0), np.where(tiny, 1.0, works)
     log_q = _log(q) if tiny.any() else None
     shape = np.broadcast_shapes(works.shape, args.shape)
     c_prev, c, shift = np.ones(shape), np.ones(shape), np.zeros(shape)
-    yield c, shift
+    size = size_prev = np.ones(shape)  # |c| and |c_prev|
+    yield size, shift
     for k in range(top_degree):
         if k == 0:
             c_prev, c = c, q - args / divisor
         else:
             c_prev, c = c, ((k + works - args) * c - k * q * c_prev) / divisor
-        mag = np.maximum(np.abs(c), np.abs(c_prev))
-        rescale = (mag > _RESCALE_HI) | ((mag > 0.0) & (mag < _RESCALE_LO))
+        size_prev, size = size, np.abs(c)
+        mag = np.maximum(size, size_prev)
+        # a zero mag is below the window too, but needs no rescaling
+        rescale = (mag > _RESCALE_HI) | (mag < _RESCALE_LO)
         if rescale.any():
+            rescale &= mag > 0.0
             factor = np.where(rescale, mag, 1.0)
-            c = c / factor
-            c_prev = c_prev / factor
+            c, c_prev = c / factor, c_prev / factor
+            size, size_prev = size / factor, size_prev / factor
             shift = shift + np.where(rescale, np.log(factor), 0.0)
         if log_q is not None:
             shift = shift - log_q
-        yield c, shift
+        yield size, shift
 
 
 def _log_factorials(top: int) -> np.ndarray:
@@ -297,11 +302,10 @@ def _fill_block(first: int, works: np.ndarray, out: np.ndarray) -> None:
     out -= log_factorial[np.maximum(n, m, out=index)]
     out -= log_factorial[np.minimum(n, m, out=index)]
     with np.errstate(divide="ignore"):
-        for k, (c, shift) in enumerate(_charlier_sweep(
+        for k, (size, shift) in enumerate(_charlier_sweep(
                 works[:, None], np.arange(first, width, dtype=float), last)):
             lo = max(k - first, 0)
-            twice_log = np.abs(c[:, lo:] if k >= first else c[:, :rows])
-            np.log(twice_log, out=twice_log)
+            twice_log = np.log(size[:, lo:] if k >= first else size[:, :rows])
             twice_log += shift[:, lo : lo + twice_log.shape[1]]
             twice_log *= 2.0
             out[:, lo:, k] += twice_log[:, : rows - lo]
@@ -418,8 +422,7 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
     listed = works.tolist()
     pending = np.arange(works.size)
     while pending.size:
-        stops = np.broadcast_to(
-            _underflow_top(lasts[pending], works[pending], tops[pending]), pending.shape)
+        stops = _underflow_top(lasts[pending], works[pending], tops[pending])
         regrow = []
         chunks = list(_chunks((lasts[pending] - first + 1).tolist(), (stops + 1).tolist()))
         # one buffer serves every chunk: a chunk's rows are read as they
