@@ -219,9 +219,10 @@ def check_doubly_stochastic(matrix, tol: float) -> TransitionMatrix:
     stochastic.
 
     Every entry must be non-negative (a NaN entry is an ``entry``
-    violation) and every row and column sum must lie within ``tol`` of 1.  Raises :class:`DoublyStochasticError`
-    carrying the worst violation and its location; in a stack the
-    location names the matrix too.
+    violation) and every row and column sum must lie within ``tol`` of
+    1.  Raises :class:`DoublyStochasticError` carrying the worst
+    violation and its location; in a stack the location names the matrix
+    too.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:

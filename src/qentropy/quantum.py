@@ -28,13 +28,20 @@ Laguerre's inequality ``|L_n^(d)(w)| <= C(m, n) e^(w/2)``, d = m - n,
 gives ``ln p(n -> m) <= d ln w + ln m! - ln n! - 2 ln d!``, and past
 the column where that bound falls below -800 every entry would round
 to 0.0, so it is left at 0.0 unswept: blocks, and a fixed cut's meaning
-and output, stay the same bit for bit.  A single row, or a single entry
-(:func:`transition_probability`), is a one-row block;
-:func:`level_entropies` and :func:`canonical_sum` reduce over the block
-of every initial level they sum over.  The thermal sum ends at a weight
-top: the first level past which the bounded gains of the remaining
-levels, times their thermal weights, stay below 2**-54 of the partial
-sum.  It stops there only where the same Laguerre bound, summed along
+and output, stay the same bit for bit.  The sweep is elementwise in the
+work too, so a 1-d array of works is swept in one pass, one block per
+work, each the same bit for bit as swept alone.  A single row, or a
+single entry (:func:`transition_probability`), is a one-row block;
+:func:`level_entropies` reduces over the block of every initial level,
+and :func:`canonical_sum` over one such block per work of a whole
+duration column, swept in chunks of works whose size is derived from
+the block shape: at most :data:`_CHUNK_ENTRIES` entries, 1 MB, at the
+chunk's largest last row and underflow top.  A canonical gain is the
+row sum of ``p ln((m + 1/2)/(n + 1/2))``, so a weak drive's gain is not
+the difference of two sums of order ``ln(n + 1/2)``.  The thermal sum
+ends at a weight top: the first level past which the bounded gains of
+the remaining levels, times their thermal weights, stay below 2**-54 of
+the partial sum.  It stops there only where the same Laguerre bound, summed along
 its last level past the top, shows that no level left out would have
 lost the mass that raises :class:`TruncationWarning` or
 :class:`TruncationError`; a row's own rounding is not covered (see
@@ -186,20 +193,22 @@ def _log(works) -> np.ndarray:
 
 def _charlier_sweep(works: np.ndarray, args: np.ndarray, top_degree: int):
     """Yield |c_k(args; works)| for k = 0..top_degree as (mantissa, log
-    scale).
+    scale), one row per work of the column ``works`` (shape (W, 1)) over
+    the arguments ``args``.
 
-    Elementwise over ``works`` and ``args``, which broadcast: a column of
-    works against a row of arguments sweeps one row per work.  The value
-    is ``mantissa * exp(log scale)``; callers may keep both arrays.  A
-    step divides by the work, which can overflow for tiny work, so below
-    work 1e-100 the mantissa is ``|c_k| * work**k``.
+    The value is ``mantissa * exp(log scale)``; callers may keep both
+    arrays.  Every entry is computed alone, so a work's row is the same
+    bit for bit whatever other works share the sweep.  A step divides by
+    the work, which can overflow for tiny work, so below work 1e-100 the
+    mantissa is ``|c_k| * work**k``.
     """
     tiny = works < 1e-100
-    q, divisor = np.where(tiny, works, 1.0), np.where(tiny, 1.0, works)
-    log_q = _log(q) if tiny.any() else None
-    shape = np.broadcast_shapes(works.shape, args.shape)
-    c_prev, c, shift = np.ones(shape), np.ones(shape), np.zeros(shape)
-    size = size_prev = np.ones(shape)  # |c| and |c_prev|
+    q, divisor, log_q = 1.0, works, None
+    if tiny.any():
+        q, divisor = np.where(tiny, works, 1.0), np.where(tiny, 1.0, works)
+        log_q = _log(q)
+    c = size = np.ones((works.size, args.size))  # size: |c|
+    shift = np.zeros(c.shape)
     yield size, shift
     for k in range(top_degree):
         if k == 0:
@@ -243,8 +252,7 @@ def _laguerre_log_bound(last, work, m):
     n <= last.
     """
     d = m - last
-    log_factorial = _log_factorials(max(int(np.max(m, initial=0)),
-                                        int(np.max(last, initial=0))))
+    log_factorial = _log_factorials(int(max(np.max(m, initial=0), np.max(last))))
     bound = (d * _log(work) + log_factorial[m] - log_factorial[last]
              - 2.0 * log_factorial[d])
     return bound, d * d >= work * (m + 1)
@@ -260,19 +268,19 @@ def _underflow_top(last, work, top) -> np.ndarray:
     ``_CHUNK_ENTRIES // 8`` columns in all, as the scan holds about eight
     arrays of that size.
     """
-    shape = np.broadcast_shapes(np.shape(last), np.shape(work), np.shape(top))
-    last, work, top = (np.broadcast_to(a, shape).ravel() for a in (last, work, top))
+    last, work, top = np.broadcast_arrays(last, work, top)
+    shape = top.shape
+    last, work, top = (a.reshape(-1, 1) for a in (last, work, top))
     stops = top.copy()
     span = int(np.max(top - last, initial=0))
     size = _CHUNK_ENTRIES // 8 // max(span, 1) + 1
     for start in range(0, stops.size if span else 0, size):
         part = slice(start, start + size)
-        first = last[part, None]
-        m = first + 1 + np.arange(span)
-        bound, monotone = _laguerre_log_bound(first, work[part, None], m)
-        underflows = monotone & (bound < _UNDERFLOW_LOG) & (m <= top[part, None])
-        found = underflows.any(axis=1)
-        stops[part][found] = first[found, 0] + underflows.argmax(axis=1)[found]
+        m = last[part] + 1 + np.arange(span)
+        bound, monotone = _laguerre_log_bound(last[part], work[part], m)
+        underflows = monotone & (bound < _UNDERFLOW_LOG) & (m <= top[part])
+        stops[part, 0] = np.where(underflows.any(axis=1),
+                                  last[part, 0] + underflows.argmax(axis=1), top[part, 0])
     return stops.reshape(shape)
 
 
