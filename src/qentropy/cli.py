@@ -11,12 +11,13 @@ theorem-demo  walk one random instance of the entropy-increase theorem
 Each option is declared once, with its range in its click type, so bad
 input exits 2 before anything runs; a fixed cut (``--m-trunc`` > 0) must
 also reach the mean final level, the highest initial level plus the
-largest work, and a duration grid may hold at most :data:`MAX_DURATIONS`
-points.  CSV files are UTF-8 with ``#``-prefixed header comments naming
-the command and every option but ``--output``, then a column-name row,
-then data rows; floats carry 12 significant digits.  Identical
-inputs and seeds produce byte-identical files (grid points are
-independent, so evaluation order never matters).
+largest work, a duration grid may hold at most :data:`MAX_DURATIONS`
+points and a theorem-demo matrix at most :data:`MAX_DEMO_DIM` levels.
+CSV files are UTF-8 with ``#``-prefixed header comments naming the
+command and every option but ``--output``, then a column-name row, then
+data rows; floats carry 12 significant digits.  Identical inputs and
+seeds produce byte-identical files (grid points are independent, so
+evaluation order never matters).
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class _Finite(click.FloatRange):
 
 #: Most durations a fig2 or fig3 grid may hold.
 MAX_DURATIONS = 1_000_000
+#: Largest theorem-demo dim: a 32 MiB Gaussian, about 210 MB peak RSS.
+MAX_DEMO_DIM = 2048
 
 _FINITE = _Finite()
 _POSITIVE = _Finite(min=0, min_open=True)
@@ -253,7 +256,7 @@ def verify(seed, trials):
 
 
 @main.command("theorem-demo")
-@click.option("--dim", type=click.IntRange(min=2), default=8)
+@click.option("--dim", type=click.IntRange(min=2, max=MAX_DEMO_DIM), default=8)
 @click.option("--seed", type=click.IntRange(min=0), default=7)
 def theorem_demo(dim, seed):
     """Show the entropy-increase bookkeeping on one random instance."""

@@ -422,3 +422,15 @@ class TestTheoremDemo:
 
     def test_rejects_small_dim(self, runner):
         assert runner.invoke(main, ["theorem-demo", "--dim", "1"]).exit_code == 2
+
+    def test_rejects_dim_above_the_maximum(self, runner):
+        # one past the bound only: a value the range admits would allocate
+        result = runner.invoke(
+            main, ["theorem-demo", "--dim", str(cli.MAX_DEMO_DIM + 1)])
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("Error:")]
+        assert len(errors) == 1 and str(cli.MAX_DEMO_DIM) in errors[0]
+        assert "Traceback" not in result.output
+        help_text = runner.invoke(main, ["theorem-demo", "--help"]).output
+        assert f"2<=x<={cli.MAX_DEMO_DIM}" in help_text

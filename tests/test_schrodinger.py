@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qentropy.classical import HalfSineDrive, drive_response
-from qentropy.quantum import transition_probability
+from qentropy.quantum import transition_block, transition_probability
 from qentropy.schrodinger import (
     BasisLeakWarning,
     PropagatorResult,
@@ -15,6 +15,17 @@ from qentropy.schrodinger import (
     propagate,
 )
 from qentropy.verify import oracle_agreement
+
+
+def cosine_drive(amplitude, duration):
+    """f(t) = amplitude cos(pi t / duration) on [0, duration], 0 outside:
+    non-zero at both ends, so the first and last kicks count."""
+    def force(t):
+        t = np.asarray(t, dtype=float)
+        inside = (t >= 0.0) & (t <= duration)
+        return np.where(inside, amplitude * np.cos(math.pi * t / duration), 0.0)
+
+    return SimpleNamespace(duration=duration, force=force)
 
 
 class TestHamiltonianMatrix:
@@ -65,6 +76,17 @@ class TestPropagate:
         slope = math.log2(err_coarse / err_fine)
         assert slope >= 3.8
 
+    def test_fourth_order_convergence_keeps_the_phase(self):
+        # the complex matrix, not only |U|^2: dropping or flipping the
+        # step's scalar phase leaves an O(dt^2) error, and a last kick
+        # time rounded past the duration (as 3.3 invites) an O(dt) one
+        drive = cosine_drive(1.0, 3.3)
+        u = {steps: propagate(drive, dim=80, steps=steps, levels=12).matrix
+             for steps in (100, 200, 400)}
+        err_coarse = np.max(np.abs(u[100] - u[400]))
+        err_fine = np.max(np.abs(u[200] - u[400]))
+        assert math.log2(err_coarse / err_fine) >= 3.8
+
     def test_leading_columns_match_the_full_matrix(self):
         drive = HalfSineDrive(3.0, 2.5)
         full = propagate(drive, dim=60, steps=150, levels=60).matrix
@@ -72,6 +94,24 @@ class TestPropagate:
             part = propagate(drive, dim=60, steps=150, levels=levels)
             assert part.matrix.shape == (60, levels)
             assert np.max(np.abs(part.matrix - full[:, :levels])) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [61, 141])
+    def test_leading_columns_match_at_odd_dim(self, dim):
+        # odd dim leaves one even level's mode unpaired by the parity split
+        drive = HalfSineDrive(3.0, 2.5)
+        full = propagate(drive, dim=dim, steps=150, levels=dim).matrix
+        for levels in (1, 7, 30):
+            part = propagate(drive, dim=dim, steps=150, levels=levels)
+            assert part.matrix.shape == (dim, levels)
+            assert np.max(np.abs(part.matrix - full[:, :levels])) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [61, 141])
+    def test_free_drive_stays_diagonal_at_odd_dim(self, dim):
+        u = propagate(HalfSineDrive(0.0, 2.0), dim=dim, steps=150,
+                      levels=dim).matrix
+        assert np.all(u[~np.eye(dim, dtype=bool)] == 0.0)
+        expected = np.exp(-1j * (np.arange(dim) + 0.5) * 2.0)
+        assert np.allclose(np.diag(u), expected, atol=1e-10)
 
     @pytest.mark.parametrize("force", [math.nan, math.inf])
     def test_non_finite_force_raises(self, force):
@@ -121,6 +161,14 @@ class TestNumericTransitionRow:
             for m in range(11):
                 worst = max(worst, abs(row[m] - transition_probability(n, m, work)))
         assert worst <= 1e-6
+
+    def test_matches_charlier_block_at_odd_dim(self):
+        drive = HalfSineDrive(2.0, 2.0)
+        result = propagate(drive, dim=141, steps=600, levels=11)
+        block = transition_block(0, 10, drive_response(drive).work, 10)
+        worst = max(np.max(np.abs(numeric_transition_row(n, result)[:11] - block[n]))
+                    for n in range(11))
+        assert worst <= 1e-10
 
     def test_basis_robustness(self):
         # the low block must not feel the truncation boundary
