@@ -23,27 +23,33 @@ oscillatory/dominant regime where forward recursion is stable; values
 to m, n of a few thousand stay accurate in absolute terms.  Step ``k``
 of the sweep gives row ``k`` from the diagonal on, and through the
 exact symmetry ``p(n -> m) = p(m -> n)`` the entries left of the
-diagonal of every later row.  The sweep ends at an underflow top:
-Laguerre's inequality ``|L_n^(d)(w)| <= C(m, n) e^(w/2)``, d = m - n,
-gives ``ln p(n -> m) <= d ln w + ln m! - ln n! - 2 ln d!``, and past
-the column where that bound falls below -800 every entry would round
-to 0.0, so it is left at 0.0 unswept: blocks, and a fixed cut's meaning
-and output, stay the same bit for bit.  The sweep is elementwise in the
-work too, so a 1-d array of works is swept in one pass, one block per
-work, each the same bit for bit as swept alone.  A single row, or a
-single entry (:func:`transition_probability`), is a one-row block;
+diagonal of every later row.  The sweep is elementwise in the work
+too, so a 1-d array of works is swept in one pass, one block per work,
+each the same bit for bit as swept alone.  A single row, or a single
+entry (:func:`transition_probability`), is a one-row block;
 :func:`level_entropies` reduces over the block of every initial level,
 and :func:`canonical_sum` over one such block per work of a whole
 duration column, swept in chunks of works whose size is derived from
 the block shape: at most :data:`_CHUNK_ENTRIES` entries, 1 MB, at the
-chunk's largest last row and underflow top.  A canonical gain is the
-row sum of ``p ln((m + 1/2)/(n + 1/2))``, so a weak drive's gain is not
-the difference of two sums of order ``ln(n + 1/2)``.  The thermal sum
-ends at a weight top: the first level past which the bounded gains of
-the remaining levels, times their thermal weights, stay below 2**-54 of
-the partial sum.  It stops there only where the same Laguerre bound, summed along
-its last level past the top, shows that no level left out would have
-lost the mass that raises :class:`TruncationWarning` or
+chunk's largest last row and swept column.  A canonical gain is the row
+sum of ``p ln((m + 1/2)/(n + 1/2))``, so a weak drive's gain is not the
+difference of two sums of order ``ln(n + 1/2)``.
+
+Every column cut rests on one bound.  Laguerre's inequality
+``|L_n^(d)(w)| <= C(m, n) e^(w/2)``, d = m - n, gives ``ln p(n -> m) <=
+d ln w + ln m! - ln n! - 2 ln d!``; summed as a geometric series it
+bounds the mass past a column of every row up to a last one, and
+:func:`_column_top` finds the first column where that mass is at most a
+given level.  Past the column at exp(-800) every entry would round to
+0.0, so the sweep ends there and leaves them at 0.0: blocks, and a fixed
+cut's meaning and output, stay the same bit for bit.  Past the column at
+2**-56 no entry can move an adaptive row's running sums, so an adaptive
+row is swept to there and cut, kept or raised exactly as if swept to
+:data:`HARD_CAP`.  The thermal sum ends at a weight top: the first level
+past which the bounded gains of the remaining levels, times their
+thermal weights, stay below 2**-54 of the partial sum.  It stops there
+only where the same bound along its last level shows that no level left
+out would have lost the mass that raises :class:`TruncationWarning` or
 :class:`TruncationError`; a row's own rounding is not covered (see
 :func:`canonical_sum`).
 
@@ -77,11 +83,15 @@ MASS_DEFICIT_TOL = 1e-9
 #: below about -745.1, so the margin covers the rounding of ``ln p``.
 _UNDERFLOW_LOG = -800.0
 
+#: ln of the mass an adaptive row leaves unswept: 2**-56 is below half an
+#: ulp of any cumulative mass of at least 1/4, so no entry past the swept
+#: top could change the row's running sums.
+_ABSORBED_LOG = -56 * math.log(2.0)
+
 #: Most block entries swept at once, 2**17 float64 values (1 MB): a column
 #: of works is swept in chunks of works whose blocks, at the largest rows
 #: and swept columns among them, stay within it (a single work may exceed
-#: it), and the underflow scan and the thermal rule's per-work tables are
-#: sliced to it too.
+#: it), and the thermal rule's per-work tables are sliced to it too.
 _CHUNK_ENTRIES = 2**17
 
 #: ln(k!) for k = 0..size-1; grown on demand by :func:`_log_factorials`.
@@ -102,10 +112,13 @@ class TruncationPolicy:
 
     By default a row is extended until its mass reaches
     ``1 - tail_mass``; reaching :data:`HARD_CAP` first raises
-    :class:`TruncationError`.  An integer ``top`` instead cuts every row
-    at level ``top``, leaving ``tail_mass`` unused, and reports the
-    captured mass as-is, with a :class:`TruncationWarning` when a row
-    leaves out more than :data:`MASS_DEFICIT_TOL`.
+    :class:`TruncationError`.  It is swept only to the column past which
+    Laguerre's bound leaves at most 2**-56 of mass, where its sums stop
+    moving, so it is cut, kept or raised as if swept to the cap.  An
+    integer ``top`` instead cuts every row at level ``top``, leaving
+    ``tail_mass`` unused, and reports the captured mass as-is, with a
+    :class:`TruncationWarning` when a row leaves out more than
+    :data:`MASS_DEFICIT_TOL`.
     """
 
     tail_mass: float = 1e-12
@@ -241,47 +254,45 @@ def _log_factorials(top: int) -> np.ndarray:
     return _LOG_FACTORIAL[: top + 1]
 
 
-def _laguerre_log_bound(last, work, m):
-    """Laguerre's bound on ``ln p(last -> m)`` for columns m > last, and
-    where it is monotone; elementwise over arrays that broadcast.
+def _column_top(last, work, top, log_level) -> np.ndarray:
+    """First column s in last..top past which Laguerre's bound on the mass
+    of every row n <= last is at most ``exp(log_level)``, or ``top`` if
+    there is none; elementwise over lasts, works and tops that broadcast.
 
     ``|L_n^(d)(w)| <= C(m, n) e^(w/2)`` (Szego; Abramowitz & Stegun
     22.14.13), d = m - n, gives ``ln p(n -> m) <= d ln w + ln m! - ln n!
     - 2 ln d!``.  Where ``d**2 >= w (m + 1)`` at n = last the bound rises
     with n and falls with m, so it also bounds column m of every row
-    n <= last.
+    n <= last, and its ratio from m to m + 1, ``w (m + 1) / (d + 1)**2``,
+    is below 1 and falls with m: the bound at m = s + 1 over one minus
+    that ratio bounds the mass past s of every row, and only falls with
+    s from there on.  Whether a column passes is thus a step in s, found
+    in two vectorised passes: 64 evenly spaced columns of last..top
+    bracket the first that passes, and the columns of that bracket pick
+    it.
     """
-    d = m - last
-    log_factorial = _log_factorials(int(max(np.max(m, initial=0), np.max(last))))
-    bound = (d * _log(work) + log_factorial[m] - log_factorial[last]
-             - 2.0 * log_factorial[d])
-    return bound, d * d >= work * (m + 1)
+    last, work, top = (np.asarray(a)[..., None] for a in (last, work, top))
+    log_work = _log(work)
+    log_factorial = _log_factorials(int(top.max()) + 1)
+    log_last = log_factorial[last]
 
+    def first_passing(s):
+        """Index along the last axis of the first column of ``s`` that passes."""
+        m = s + 1
+        d = m - last
+        rise, square = work * (m + 1), d * d  # monotone where square >= rise
+        # capped at d**2 where it is not, so that the log stays finite
+        ratio = np.minimum(rise, square) / (d + 1) ** 2
+        log_tail = (d * log_work + log_factorial[m] - log_last - 2.0 * log_factorial[d]
+                    - np.log1p(-ratio))
+        passes = (s >= top) | ((square >= rise) & (log_tail <= log_level))
+        return passes.argmax(axis=-1, keepdims=True)
 
-def _underflow_top(last, work, top) -> np.ndarray:
-    """Last column m <= top where some p(n -> m), n <= last, can be non-zero;
-    elementwise over lasts, works and tops that broadcast.
-
-    The first column of row ``last`` where :func:`_laguerre_log_bound`
-    is monotone and below :data:`_UNDERFLOW_LOG` starts the underflowed
-    tail of every row.  Works are scanned in slices of at most
-    ``_CHUNK_ENTRIES // 8`` columns in all, as the scan holds about eight
-    arrays of that size.
-    """
-    last, work, top = np.broadcast_arrays(last, work, top)
-    shape = top.shape
-    last, work, top = (a.reshape(-1, 1) for a in (last, work, top))
-    stops = top.copy()
-    span = int(np.max(top - last, initial=0))
-    size = _CHUNK_ENTRIES // 8 // max(span, 1) + 1
-    for start in range(0, stops.size if span else 0, size):
-        part = slice(start, start + size)
-        m = last[part] + 1 + np.arange(span)
-        bound, monotone = _laguerre_log_bound(last[part], work[part], m)
-        underflows = monotone & (bound < _UNDERFLOW_LOG) & (m <= top[part])
-        stops[part, 0] = np.where(underflows.any(axis=1),
-                                  last[part, 0] + underflows.argmax(axis=1), top[part, 0])
-    return stops.reshape(shape)
+    span = top - last
+    hi = last + span * first_passing(last + span * np.arange(64) // 63) // 63
+    lo = np.maximum(hi - span // 63, last)
+    columns = np.minimum(lo + np.arange(int((hi - lo).max(initial=0)) + 1), hi)
+    return (lo + first_passing(columns))[..., 0]
 
 
 def _fill_block(first: int, works: np.ndarray, out: np.ndarray) -> None:
@@ -331,13 +342,14 @@ def transition_block(first: int, last: int, work, top: int) -> np.ndarray:
     for a 1-d array of works, one such block per work, stacked along a
     first axis and swept together.
 
-    The sweep ends at the largest :func:`_underflow_top` of the works;
+    The sweep ends at the largest of the works' columns past which
+    Laguerre's bound leaves at most exp(-800) of mass (:func:`_column_top`);
     later columns stay 0.0, the value their ``exp`` would round to.
     """
     if not 0 <= first <= last <= top:
         raise ValueError(f"need 0 <= first <= last <= top, got {first}, {last}, {top}")
     works = _check_work(work)
-    stop = int(np.max(_underflow_top(last, works, top), initial=last))
+    stop = int(np.max(_column_top(last, works, top, _UNDERFLOW_LOG), initial=last))
     p = np.zeros((works.size, last - first + 1, top + 1))
     _fill_block(first, works.reshape(-1), p[..., : stop + 1])
     return p.reshape(works.shape + p.shape[1:])
@@ -355,29 +367,6 @@ def transition_probability(n: int, m: int, work: float) -> float:
         raise ValueError("levels must be non-negative")
     low, high = min(n, m), max(n, m)
     return float(transition_block(low, low, work, high)[0, high])
-
-
-def _start_top(last, work):
-    """First top an adaptive block of rows up to ``last`` is swept to."""
-    return (last + work + 12.0 * np.sqrt((last + 0.5) * work + 1.0) + 30.0).astype(int)
-
-
-def _tail_mass_bound(last, work, top):
-    """Bound on the mass past column ``top >= last`` of every row n <= last;
-    elementwise over arrays that broadcast.
-
-    From column m to m + 1 of row ``last``, :func:`_laguerre_log_bound`
-    changes by ``ln(w (m + 1) / (d + 1)**2)``.  Where the bound is
-    monotone at m = top + 1 that ratio is below 1 and falls with m, so
-    the first term past the top over one minus the ratio bounds the tail
-    of every row; inf where it is not.
-    """
-    m, d = top + 1, top + 1 - last
-    log_bound, monotone = _laguerre_log_bound(last, work, m)
-    # a bound past 1 says nothing, and capped its exp cannot overflow
-    with np.errstate(divide="ignore"):
-        tail = np.exp(np.minimum(log_bound, 0.0)) / (1.0 - work * (m + 1) / (d + 1) ** 2)
-    return np.where(monotone, tail, math.inf)
 
 
 def _chunks(rows: list, widths: list):
@@ -402,18 +391,28 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
     """Rows first..lasts[i] out of each work ``works[i]``, truncated by
     ``policy``.
 
-    Yields ``(i, p, lengths, captured)`` once per work, in no set order:
-    ``p`` holds the rows up to the last column the work's own sweep
-    reaches, each row cut at its length (under a fixed cut, ``top + 1``),
-    with its captured mass.  ``p`` is a view that the next item may
-    overwrite.  Consecutive works are swept together, in :func:`_chunks` of
-    their own rows and swept columns; each work is judged on its own rows
-    and columns only, so it yields what it would alone.  Under a fixed
-    cut, a :class:`TruncationWarning` names the row of a work that leaves
-    out most mass if that exceeds :data:`MASS_DEFICIT_TOL`.  Adaptively,
-    a row below the target at :data:`HARD_CAP` raises
-    :class:`TruncationError`; given a dict ``failed``, the error is
-    stored there under the work's index instead and the work left out.
+    Yields ``(i, p, lengths, captured)`` once per work, in order: ``p``
+    holds the rows up to the last column the work's own sweep reaches,
+    each row cut at its length (under a fixed cut, ``top + 1``), with its
+    captured mass.  ``p`` is a view that the next item may overwrite.
+    Consecutive works are swept together, in :func:`_chunks` of their own
+    rows and swept columns; each work is judged on its own rows and
+    columns only, so it yields what it would alone.  Under a fixed cut
+    the sweep ends where every later entry would round to 0.0, and a
+    :class:`TruncationWarning` names the row of a work that leaves out
+    most mass if that exceeds :data:`MASS_DEFICIT_TOL`.
+
+    Adaptively, a work's rows are swept to the first column past which
+    Laguerre's bound leaves at most 2**-56 of mass in each (at most
+    :data:`HARD_CAP`).  Every entry past it is then below 2**-56, under
+    half an ulp of a running sum that has reached 1/4, and a row's sum
+    reaches about 1 by that column; so ``np.cumsum``'s sequential sums
+    could not change past it, and each row's cut column, captured mass,
+    and its mass at the top, equal those of a sweep to :data:`HARD_CAP`
+    bit for bit.  A row below the target there raises
+    :class:`TruncationError`, with that mass; given a dict ``failed``, the
+    error is stored there under the work's index instead and the work
+    left out.
     """
     lasts = np.asarray(lasts)
     fixed = policy.top is not None
@@ -421,61 +420,51 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
         if not 0 <= first <= lasts.min() <= lasts.max() <= policy.top:
             raise ValueError(f"need 0 <= first <= last <= top, got {first}, "
                              f"{lasts.max()}, {policy.top}")
-        tops = np.full(works.size, policy.top)
+        stops = _column_top(lasts, works, policy.top, _UNDERFLOW_LOG)
     else:
         if HARD_CAP < lasts.max():
             raise TruncationError(f"hard cap {HARD_CAP} is below level {lasts.max()}")
-        tops = np.minimum(_start_top(lasts, works), HARD_CAP)
+        stops = _column_top(lasts, works, HARD_CAP, _ABSORBED_LOG)
     target = 1.0 - policy.tail_mass
     listed = works.tolist()
-    pending = np.arange(works.size)
-    while pending.size:
-        stops = _underflow_top(lasts[pending], works[pending], tops[pending])
-        regrow = []
-        chunks = list(_chunks((lasts[pending] - first + 1).tolist(), (stops + 1).tolist()))
-        # one buffer serves every chunk: a chunk's rows are read as they
-        # are yielded, before the next chunk is swept over them
-        buffer = np.empty(max(math.prod(shape) for _, shape in chunks))
-        for chunk, shape in chunks:
-            indices = pending[chunk].tolist()
-            rows = (lasts[indices] - first + 1).tolist()
-            widths = (stops[chunk] + 1).tolist()
-            block = buffer[: math.prod(shape)].reshape(shape)
-            _fill_block(first, works[indices], block)
-            for p, i, row_count, width in zip(block, indices, rows, widths):
-                p = p[:row_count, :width]
-                if fixed:
-                    captured = p.sum(axis=1)
-                    short = int(captured.argmin())
-                    if 1.0 - captured[short] > MASS_DEFICIT_TOL:
-                        warnings.warn(
-                            f"row of level {first + short} keeps mass "
-                            f"{captured[short]:.15f} at the fixed top {policy.top} "
-                            f"(work={listed[i]}); raise the top",
-                            TruncationWarning,
-                            stacklevel=3,
-                        )
-                    yield i, p, np.full(row_count, policy.top + 1), captured
-                    continue
-                cumulative = np.cumsum(p, axis=1)
-                missed = cumulative[:, -1] < target
-                if not missed.any():
-                    lengths = np.sum(cumulative < target, axis=1) + 1
-                    yield i, p, lengths, cumulative[np.arange(row_count), lengths - 1]
-                elif tops[i] < HARD_CAP:
-                    tops[i] = min(2 * tops[i] + 16, HARD_CAP)
-                    regrow.append(i)
-                else:
-                    short = int(missed.argmax())
-                    error = TruncationError(
-                        f"mass {cumulative[short, -1]:.15f} below target {target:.15f} "
-                        f"at the hard cap {HARD_CAP} (level={first + short}, "
-                        f"work={listed[i]})"
+    rows, widths = (lasts - first + 1).tolist(), (stops + 1).tolist()
+    chunks = list(_chunks(rows, widths))
+    # one buffer serves every chunk: a chunk's rows are read as they are
+    # yielded, before the next chunk is swept over them
+    buffer = np.empty(max(math.prod(shape) for _, shape in chunks))
+    for chunk, shape in chunks:
+        block = buffer[: math.prod(shape)].reshape(shape)
+        _fill_block(first, works[chunk], block)
+        for i, p in enumerate(block, chunk.start):
+            p = p[: rows[i], : widths[i]]
+            if fixed:
+                captured = p.sum(axis=1)
+                short = int(captured.argmin())
+                if 1.0 - captured[short] > MASS_DEFICIT_TOL:
+                    warnings.warn(
+                        f"row of level {first + short} keeps mass "
+                        f"{captured[short]:.15f} at the fixed top {policy.top} "
+                        f"(work={listed[i]}); raise the top",
+                        TruncationWarning,
+                        stacklevel=3,
                     )
-                    if failed is None:
-                        raise error
-                    failed[i] = error
-        pending = np.array(regrow, dtype=int)
+                yield i, p, np.full(rows[i], policy.top + 1), captured
+                continue
+            cumulative = np.cumsum(p, axis=1)
+            missed = cumulative[:, -1] < target
+            if not missed.any():
+                lengths = np.sum(cumulative < target, axis=1) + 1
+                yield i, p, lengths, cumulative[np.arange(rows[i]), lengths - 1]
+                continue
+            short = int(missed.argmax())
+            error = TruncationError(
+                f"mass {cumulative[short, -1]:.15f} below target {target:.15f} "
+                f"at the hard cap {HARD_CAP} (level={first + short}, "
+                f"work={listed[i]})"
+            )
+            if failed is None:
+                raise error
+            failed[i] = error
 
 
 def _one_work(first: int, last: int, work, policy: TruncationPolicy):
@@ -533,7 +522,9 @@ def _level_gains(lasts: np.ndarray, works: np.ndarray, policy: TruncationPolicy,
     and an entry past an adaptive cut, which the cut row's sum leaves
     out, adds ``-p ln(n + 1/2)``: a weak drive's gain, of the order of
     the work, is then not the difference of two sums of order
-    ``ln(n + 1/2)``.
+    ``ln(n + 1/2)``.  Those entries are carried up to the adaptive row's
+    swept top; the ones past it, at most 2**-56 of mass, would add at
+    most ``2**-56 ln(n + 1/2)``.
     """
     gains = np.zeros((works.size, int(lasts.max()) + 1))
     log_levels = np.log(np.arange((policy.top or HARD_CAP) + 1) + 0.5)
@@ -583,16 +574,16 @@ def canonical_sum(inv_temperature: float, work, level_cutoff: int,
     the column's order.  The per-work tables of the rule hold at most
     :data:`_CHUNK_ENTRIES` entries, so longer columns go in groups.
 
-    Rows are left out only where :func:`_tail_mass_bound` along row
-    level_cutoff shows that none of them has the mass past the top that
-    raises a warning or error: under a fixed top, more than
-    :data:`MASS_DEFICIT_TOL`, so no :class:`TruncationWarning` is lost;
-    adaptively, more than ``tail_mass`` past column ``HARD_CAP - 1``,
-    and with a first top below :data:`HARD_CAP`.  The bound does not
-    cover a row's own rounding: at works near 0 that alone can take an
-    adaptive row of level 60 or more below its target (work 1e-8 at
-    100 levels), and where the sum leaves such rows out it returns a
-    value where the full sum raises :class:`TruncationError`.
+    Rows are left out only where Laguerre's bound on the mass along row
+    level_cutoff (:func:`_column_top`) shows that none of them has the
+    mass past the top that raises a warning or error: under a fixed top,
+    more than :data:`MASS_DEFICIT_TOL`, so no :class:`TruncationWarning`
+    is lost; adaptively, more than ``tail_mass`` past column
+    ``HARD_CAP - 1``.  The bound does not cover a row's own rounding: at
+    works near 0 that alone can take an adaptive row of level 60 or more
+    below its target (work 1e-8 at 100 levels), and where the sum leaves
+    such rows out it returns a value where the full sum raises
+    :class:`TruncationError`.
     """
     if not 0.0 < inv_temperature < math.inf:
         raise ValueError("inverse temperature must be positive and finite")
@@ -625,11 +616,13 @@ def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
     works that fail are stored in ``failed`` by their index."""
     count = works.size
     if policy.top is None:
-        may_cut = _start_top(level_cutoff, works) < HARD_CAP
-        may_cut[may_cut] = _tail_mass_bound(
-            level_cutoff, works[may_cut], HARD_CAP - 1) <= policy.tail_mass
+        top, log_level = HARD_CAP - 1, math.log(policy.tail_mass)
     else:
-        may_cut = _tail_mass_bound(level_cutoff, works, policy.top) <= MASS_DEFICIT_TOL
+        top, log_level = policy.top, math.log(MASS_DEFICIT_TOL)
+    # a column found at most at the top bounds the mass past the top: the
+    # search runs a column further so that finding none reads above it,
+    # and from a level_cutoff above the top it finds none
+    may_cut = _column_top(level_cutoff, works, max(top, level_cutoff) + 1, log_level) <= top
     levels = np.arange(level_cutoff + 1)
     weights = (1.0 - math.exp(-inv_temperature)) * np.exp(-inv_temperature * levels)
     caps = np.maximum(np.log(2.0 * levels + 1.0),

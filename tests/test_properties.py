@@ -70,9 +70,16 @@ def test_underflow_cut_leaves_the_block_unchanged(first, span, extra, work):
     last = first + span
     top = last + extra
     cut = quantum.transition_block(first, last, work, top)
+    calls = []
+
+    def no_cut(last, work, top, log_level):
+        calls.append(log_level)
+        return top
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quantum, "_underflow_top", lambda last, work, top: top)
+        patch.setattr(quantum, "_column_top", no_cut)
         assert np.array_equal(cut, quantum.transition_block(first, last, work, top))
+    assert calls == [quantum._UNDERFLOW_LOG]
 
 
 @given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 200),
@@ -86,6 +93,67 @@ def test_batched_block_equals_its_works(first, span, extra, works):
     assert batched.shape == (len(works), span + 1, top + 1)
     for block, work in zip(batched, works):
         assert np.array_equal(block, quantum.transition_block(first, last, work, top))
+
+
+EDGE_WORKS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-13]),
+                      st.floats(min_value=1e-20, max_value=1e-8),
+                      st.floats(min_value=0.0, max_value=700.0))
+
+
+def column_top_by_scan(last, work, top, log_level):
+    """The first column of last..top that passes the bound of
+    ``quantum._column_top``, by evaluating it at every column."""
+    s = np.arange(last, top)
+    m, d = s + 1, s + 1 - last
+    rise = work * (m + 1)
+    log_factorial = quantum._log_factorials(top + 1)
+    log_work = math.log(work) if work > 0.0 else -math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_tail = (d * log_work + log_factorial[m] - log_factorial[last]
+                    - 2.0 * log_factorial[d] - np.log1p(-rise / (d + 1) ** 2))
+    passes = (d * d >= rise) & (log_tail <= log_level)
+    return int(s[passes.argmax()]) if passes.any() else top
+
+
+@given(st.lists(st.tuples(st.integers(0, 300), EDGE_WORKS), min_size=1, max_size=4),
+       st.integers(0, quantum.HARD_CAP),
+       st.one_of(st.sampled_from([quantum._UNDERFLOW_LOG, quantum._ABSORBED_LOG,
+                                  math.log(quantum.MASS_DEFICIT_TOL), math.log(1e-12)]),
+                 st.floats(min_value=-900.0, max_value=0.0)))
+def test_column_top_equals_a_linear_scan(cases, extra, log_level):
+    lasts, works = (np.array(column) for column in zip(*cases))
+    top = min(int(lasts.max()) + extra, quantum.HARD_CAP)
+    found = quantum._column_top(lasts, works, top, log_level)
+    assert found.shape == lasts.shape
+    for last, work, column in zip(lasts.tolist(), works.tolist(), found.tolist()):
+        assert column == column_top_by_scan(last, work, top, log_level), (last, work)
+
+
+@given(st.integers(0, 20), st.integers(0, 30), EDGE_WORKS,
+       st.sampled_from([1e-12, 1e-6, 1e-15]))
+def test_adaptive_rows_equal_rows_swept_to_the_underflow(first, span, work, tail_mass):
+    # past the adaptive top no entry can move a running sum, so every cut,
+    # captured mass and error is that of the rows swept until they underflow
+    last = first + span
+    policy = quantum.TruncationPolicy(tail_mass=tail_mass)
+    stop = int(quantum._column_top(last, work, quantum.HARD_CAP, quantum._UNDERFLOW_LOG))
+    cumulative = np.cumsum(quantum.transition_block(first, last, work, stop), axis=1)
+    target = 1.0 - tail_mass
+    missed = cumulative[:, -1] < target
+    failed = {}
+    [*rows] = quantum._truncated_rows(first, np.array([last]), np.array([work]), policy,
+                                      failed)
+    if missed.any():
+        short = int(missed.argmax())
+        assert rows == [] and list(failed) == [0]
+        assert str(failed[0]) == (
+            f"mass {cumulative[short, -1]:.15f} below target {target:.15f} at the "
+            f"hard cap {quantum.HARD_CAP} (level={first + short}, work={work})")
+        return
+    [(_, _, lengths, captured)] = rows
+    assert failed == {}
+    assert np.array_equal(lengths, np.sum(cumulative < target, axis=1) + 1)
+    assert np.array_equal(captured, cumulative[np.arange(span + 1), lengths - 1])
 
 
 @given(st.floats(min_value=0.05, max_value=20.0), WORKS, st.integers(1, 60),

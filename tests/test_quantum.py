@@ -236,7 +236,7 @@ class TestUnderflowTop:
         (300, 100.0, 2000),
     ])
     def test_cut_columns_are_below_the_float_range(self, last, work, top):
-        stop = quantum._underflow_top(last, work, top)
+        stop = quantum._column_top(last, work, top, quantum._UNDERFLOW_LOG)
         assert last <= stop < top
         for n in (0, last // 2, last):
             for m in (stop + 1, top):
@@ -246,7 +246,7 @@ class TestUnderflowTop:
         (100, 200.0, 1000), (0, 700.0, 1000), (50, 1.0, 50),
     ])
     def test_no_cut_where_the_tail_can_be_normal(self, last, work, top):
-        assert quantum._underflow_top(last, work, top) == top
+        assert quantum._column_top(last, work, top, quantum._UNDERFLOW_LOG) == top
 
     def test_cut_blocks_are_bit_identical(self, monkeypatch):
         # fig3's default blocks and fig2's level-2 rows, with the sweep cut
@@ -256,13 +256,19 @@ class TestUnderflowTop:
                     for work in self.FIG3_WORKS.tolist()]
 
         cut = blocks(0, 100), blocks(2, 2)
-        stops = [quantum._underflow_top(100, work, 1000)
-                 for work in self.FIG3_WORKS.tolist()]
-        assert sum(stops) + len(stops) < 0.45 * 1001 * len(stops)
-        monkeypatch.setattr(quantum, "_underflow_top", lambda last, work, top: top)
+        stops = quantum._column_top(100, self.FIG3_WORKS, 1000, quantum._UNDERFLOW_LOG)
+        assert stops.sum() + stops.size < 0.45 * 1001 * stops.size
+        calls = []
+
+        def no_cut(last, work, top, log_level):
+            calls.append(log_level)
+            return top
+
+        monkeypatch.setattr(quantum, "_column_top", no_cut)
         for with_cut, without in zip(cut, (blocks(0, 100), blocks(2, 2))):
             for a, b in zip(with_cut, without):
                 assert np.array_equal(a, b)
+        assert calls == [quantum._UNDERFLOW_LOG] * (2 * stops.size)
 
 
 class TestTransitionRow:
@@ -566,10 +572,16 @@ class TestThermalRowCut:
         (100, 1625.0, quantum.HARD_CAP - 1),
     ])
     def test_tail_mass_bound_holds(self, last, work, top):
-        bound = quantum._tail_mass_bound(last, work, top)
-        for n in (0, last // 2, last):
-            tail = quantum.transition_block(n, n, work, top + 300)[0, top + 1 :]
-            assert tail.sum() <= bound, n
+        # past the column found at each level, no row n <= last holds more
+        # than exp(level); searched to top + 1, a column at most top says
+        # so of the columns past the top too, and top + 1 says nothing
+        for log_level in [math.log(mass) for mass in (
+                0.5, 1e-2, 1e-6, quantum.MASS_DEFICIT_TOL, 1e-12, 2.0**-56)]:
+            stop = int(quantum._column_top(last, work, top + 1, log_level))
+            assert last <= stop <= top + 1
+            for n in (0, last // 2, last):
+                tail = quantum.transition_block(n, n, work, top + 300)[0, stop + 1 :]
+                assert stop > top or tail.sum() <= math.exp(log_level), (n, log_level)
 
 
 class TestColumn:
