@@ -47,11 +47,12 @@ cut's meaning and output, stay the same bit for bit.  Past the column at
 row is swept to there and cut, kept or raised exactly as if swept to
 :data:`HARD_CAP`.  The thermal sum ends at a weight top: the first level
 past which the bounded gains of the remaining levels, times their
-thermal weights, stay below 2**-54 of the partial sum.  It stops there
-only where the same bound along its last level shows that no level left
-out would have lost the mass that raises :class:`TruncationWarning` or
-:class:`TruncationError`; a row's own rounding is not covered (see
-:func:`canonical_sum`).
+thermal weights, stay below 2**-54 of the partial sum, whose floor from
+the entropy-increase theorem fixes in advance how far the rows are
+swept.  It stops there only where the same Laguerre bound along its
+last level shows that no level left out would have lost the mass that
+raises :class:`TruncationWarning` or :class:`TruncationError`; a row's
+own rounding is not covered (see :func:`canonical_sum`).
 
 Every sum over levels is truncated by one :class:`TruncationPolicy`:
 adaptively by a tail-mass target, never past :data:`HARD_CAP`, or at a
@@ -558,21 +559,22 @@ def canonical_sum(inv_temperature: float, work, level_cutoff: int,
     the weighted rows after level k add at most a known tail.  The sum
     stops at the first k whose tail is at most ``2**-54`` of the partial
     sum, where the rest cannot reach its last bit; a result of 0 or a
-    rule not met by level_cutoff sums every level.  A guess that misses
-    the rule is swept again from level 0, to the level its partial sum
-    asks for; once the missed sweeps and the next would pass half of
-    level_cutoff, the sum sweeps every level instead, so it costs at most
-    1.5 full sweeps.  It gains where the thermal weights fall fast
-    enough to meet the rule before half of level_cutoff: beta of about 1
-    and more at 100 levels.
+    rule not met by level_cutoff sums every level.  The theorem bounds
+    that k in advance: a uniform start on levels 0..n is decreasing, so
+    ``g_0 + ... + g_n >= 0``, and by Abel summation every partial sum is
+    at least ``(1-q)**2 g_0 >= (1-q)**2 (1 - e^-w) ln 3``, q = e^-beta.
+    Each work's rows are swept once, to the first level whose tail is at
+    most ``2**-55`` of that floor (the factor 2 absorbs rounding).  A
+    work whose computed sum still misses the rule there, its rows' own
+    error being over half the floor (adaptive work 1e-20 at beta 2),
+    sums every level in one more sweep.
 
-    A column is sorted by work and taken in stages: the first guesses of
-    every work, then the sweeps again of the works that missed, each
-    stage swept in chunks of consecutive works (:func:`_truncated_rows`).
-    Every work gets the value, last level, warning or error it would get
-    alone; where several works raise, the error is the first one's in
-    the column's order.  The per-work tables of the rule hold at most
-    :data:`_CHUNK_ENTRIES` entries, so longer columns go in groups.
+    A column is sorted by work, and each sweep takes consecutive works
+    in chunks (:func:`_truncated_rows`).  Every work gets the value,
+    last level, warning or error it would get alone; where several works
+    raise, the error is the first one's in the column's order.  The
+    per-work tables of the rule hold at most :data:`_CHUNK_ENTRIES`
+    entries, so longer columns go in groups.
 
     Rows are left out only where Laguerre's bound on the mass along row
     level_cutoff (:func:`_column_top`) shows that none of them has the
@@ -614,7 +616,6 @@ def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
                   policy: TruncationPolicy, failed: dict):
     """Values and last levels of :func:`canonical_sum` for a group of works;
     works that fail are stored in ``failed`` by their index."""
-    count = works.size
     if policy.top is None:
         top, log_level = HARD_CAP - 1, math.log(policy.tail_mass)
     else:
@@ -624,39 +625,36 @@ def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
     # and from a level_cutoff above the top it finds none
     may_cut = _column_top(level_cutoff, works, max(top, level_cutoff) + 1, log_level) <= top
     levels = np.arange(level_cutoff + 1)
-    weights = (1.0 - math.exp(-inv_temperature)) * np.exp(-inv_temperature * levels)
+    q = math.exp(-inv_temperature)
+    weights = (1.0 - q) * np.exp(-inv_temperature * levels)
     caps = np.maximum(np.log(2.0 * levels + 1.0),
                       np.log1p(works[:, None] / (levels + 0.5)))
     # tails[:, k]: bound on the weighted gains of the levels after k
     tails = np.zeros_like(caps)
     tails[:, :-1] = np.cumsum((weights * caps)[:, :0:-1], axis=1)[:, ::-1]
-    # first guess: where the tail falls below 2**-56 of its whole bound
-    last = np.where(may_cut, np.argmax(tails <= 2.0**-56 * tails[:, :1], axis=1),
-                    level_cutoff)
-    missed = np.zeros(count, dtype=int)  # levels swept by guesses that missed
-    values, last_levels = np.zeros(count), np.full(count, level_cutoff)
-    active = np.arange(count)
-    while active.size:
-        lasts = np.where(2 * (missed[active] + last[active]) > level_cutoff,
-                         level_cutoff, last[active])
+    # every partial sum is at least (1-q)^2 g_0 >= (1-q)^2 (1 - e^-w) ln 3
+    floor = (1.0 - q) ** 2 * -np.expm1(-works) * math.log(3.0)
+    lasts = np.where(may_cut, np.argmax(tails <= 2.0**-55 * floor[:, None], axis=1),
+                     level_cutoff)
+    values, last_levels = np.zeros(works.size), np.full(works.size, level_cutoff)
+    active = np.arange(works.size)
+    while active.size:  # at most twice: the second sweep is to level_cutoff
         stage_failed = {}
-        gains = _level_gains(lasts, works[active], policy, stage_failed)
+        gains = _level_gains(lasts[active], works[active], policy, stage_failed)
         failed.update((int(active[k]), error) for k, error in stage_failed.items())
         partial = np.cumsum(weights[: gains.shape[1]] * gains, axis=1)
-        own = levels[: gains.shape[1]] <= lasts[:, None]
+        own = levels[: gains.shape[1]] <= lasts[active, None]
         met = own & (tails[active, : gains.shape[1]] <= 2.0**-54 * np.abs(partial))
         hit = may_cut[active] & met.any(axis=1)
-        ends = np.where(hit, met.argmax(axis=1), lasts)
-        retry = ~hit & (lasts < level_cutoff)
+        ends = np.where(hit, met.argmax(axis=1), lasts[active])
+        retry = ~hit & (lasts[active] < level_cutoff)
         retry[list(stage_failed)] = False
         for k in np.flatnonzero(~retry).tolist():
             end = ends[k] + 1
             values[active[k]] = weights[:end] @ gains[k, :end]
             last_levels[active[k]] = ends[k]
-        whole = np.abs(partial[np.arange(active.size), lasts])[retry]
         active = active[retry]
-        missed[active] += lasts[retry]
-        last[active] = np.argmax(tails[active] <= 2.0**-55 * whole[:, None], axis=1)
+        lasts[active] = level_cutoff
     return values, last_levels
 
 

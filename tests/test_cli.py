@@ -254,15 +254,32 @@ def test_truncation_error_is_one_line(runner, tmp_path, args):
 
 def test_tiny_work_adaptive_rows_still_raise(runner, tmp_path):
     # work 7.8e-13: the rows' own rounding takes level 90 below the 1e-12
-    # tail target though no mass is lost (a known limit of the adaptive cut)
+    # tail target though no mass is lost (a known limit of the adaptive
+    # cut); at beta 0.1 the thermal sum sweeps every level and meets it
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, ["fig3", "--m-trunc", "0", "--t-min", "21.99115",
-                                  "--t-max", "21.99115", "--output", str(out)])
+    result = runner.invoke(main, ["fig3", "--m-trunc", "0", "--beta", "0.1",
+                                  "--t-min", "21.99115", "--t-max", "21.99115",
+                                  "--output", str(out)])
     assert result.exit_code == 1
     assert result.output == (
         "Error: mass 0.999999999998794 below target 0.999999999999000 at the hard "
         "cap 5000 (level=90, work=7.772082824405806e-13)\n")
     assert not out.exists()
+
+
+def test_tiny_work_adaptive_sum_ends_before_the_rows_that_raise(runner, tmp_path):
+    # at beta 2 the same work's sum ends at level 33, within the tail
+    # target of the fixed cut's value
+    texts = []
+    for m_trunc in ("0", "1000"):
+        out = tmp_path / f"out{m_trunc}.csv"
+        result = runner.invoke(main, ["fig3", "--m-trunc", m_trunc, "--t-min", "21.99115",
+                                      "--t-max", "21.99115", "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        texts.append(out.read_text())
+    assert "reaches at most level 33 of n-trunc 100" in texts[0]
+    adaptive, fixed = (float(text.splitlines()[-1].split(",")[-1]) for text in texts)
+    assert abs(adaptive - fixed) <= 1e-12
 
 
 @pytest.mark.parametrize("figure", ["fig2", "fig3"])

@@ -185,6 +185,10 @@ def test_thermal_cut_matches_the_full_sum(beta, work, cutoff, adaptive):
     full = terms.sum()
     assert abs(total.value - full) <= (2.0**-54 * abs(full)
                                        + 4 * 2.0**-52 * np.abs(terms).sum())
+    # the theorem's floor on every partial sum; below work 1e-6 the
+    # adaptive cut's own error, up to tail_mass, can exceed it
+    q = math.exp(-beta)
+    assert work < 1e-6 or total.value >= (1.0 - q) ** 2 * -math.expm1(-work) * math.log(3.0)
     # a cut ends where the bounded gains of the later levels are at most
     # 2**-54 of the partial sum
     caps = np.maximum(np.log(2.0 * levels + 1.0), np.log1p(work / (levels + 0.5)))

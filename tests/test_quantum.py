@@ -445,16 +445,20 @@ class TestCanonical:
             gain0, abs=1e-15
         )
 
-    @pytest.mark.parametrize("work", [1e-15, 1e-20])
-    def test_weak_drive_gain_is_first_order(self, work):
+    @pytest.mark.parametrize("work, beta", [(1e-15, 2.0), (1e-20, 2.0), (1e-15, 0.1),
+                                            (1e-20, 0.1)],
+                             ids=["1e-15", "1e-20", "1e-15-beta0.1", "1e-20-beta0.1"])
+    def test_weak_drive_gain_is_first_order(self, work, beta):
         # every term of a row's gain is p ln((m + 1/2)/(n + 1/2)), so none
         # of order ln(n + 1/2) cancels: to first order in the work, level n
-        # gains (n+1) ln((n+3/2)/(n+1/2)) + n ln((n-1/2)/(n+1/2)) per unit work
+        # gains (n+1) ln((n+3/2)/(n+1/2)) + n ln((n-1/2)/(n+1/2)) per unit work.
+        # At beta 0.1 every level up to 100 counts, and row 100's entries
+        # next to the diagonal, about 1e-18 at work 1e-20, must be summed
         n = np.arange(101)
         coefficients = (n + 1) * np.log((n + 1.5) / (n + 0.5)) + n * np.log(
             np.abs(n - 0.5) / (n + 0.5))
-        weights = (1.0 - math.exp(-2.0)) * np.exp(-2.0 * n)
-        value = canonical_entropy_change(2.0, work, 100, TruncationPolicy(top=1000))
+        weights = (1.0 - math.exp(-beta)) * np.exp(-beta * n)
+        value = canonical_entropy_change(beta, work, 100, TruncationPolicy(top=1000))
         assert value >= 0.0
         first_order = work * (weights @ coefficients)
         assert value == pytest.approx(first_order, rel=1e-9, abs=0.0)
@@ -532,9 +536,9 @@ class TestThermalRowCut:
         fixed = canonical_entropy_change(2.0, 1e-8, 100, TruncationPolicy(top=1000))
         assert total.value == pytest.approx(fixed, rel=1e-6)
 
-    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 5.0])
-    def test_missed_guesses_sweep_at_most_half_the_levels(self, beta, monkeypatch):
-        # the last row each work is swept to, stage by stage, in one column
+    @staticmethod
+    def sweeps(monkeypatch):
+        """The last row each work is swept to, sweep by sweep."""
         sweeps = {}
         truncated_rows = quantum._truncated_rows
 
@@ -544,12 +548,34 @@ class TestThermalRowCut:
             return truncated_rows(first, lasts, works, policy, failed)
 
         monkeypatch.setattr(quantum, "_truncated_rows", recorded)
-        canonical_sum(beta, self.WORKS, 100, TruncationPolicy(top=1000))
+        return sweeps
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(top=1000), DEFAULT_POLICY],
+                             ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 5.0])
+    def test_each_work_is_swept_once(self, beta, policy, monkeypatch):
+        # the floor (1-q)^2 (1 - e^-w) ln 3 on every partial sum fixes the
+        # last row in advance, and the rule is met by then
+        sweeps = self.sweeps(monkeypatch)
+        total = canonical_sum(beta, self.WORKS, 100, policy)
         assert sorted(sweeps) == sorted(self.WORKS.tolist())
-        for work, lasts in sweeps.items():
-            assert 2 * sum(lasts[:-1]) <= 100 and lasts[-1] <= 100, work
-            if beta <= 0.5:
-                assert lasts == [100], work
+        for work, last_level in zip(self.WORKS.tolist(), total.last_level.tolist()):
+            [last] = sweeps[work]
+            assert last >= last_level, work
+            if beta == 0.1:
+                assert last == 100, work
+
+    def test_rows_that_miss_the_floor_sweep_every_level(self, monkeypatch):
+        # at adaptive work 1e-20 the rows' own error exceeds half the floor:
+        # the partial sum misses the rule at the floor's level, so the work
+        # is swept again to level_cutoff, whose rows' rounding raises
+        sweeps = self.sweeps(monkeypatch)
+        with pytest.raises(TruncationError) as error:
+            canonical_sum(2.0, 1e-20, 100)
+        assert sweeps == {1e-20: [42, 100]}
+        assert str(error.value) == (
+            "mass 0.999999999998181 below target 0.999999999999000 at the hard cap "
+            "5000 (level=51, work=1e-20)")
 
     def test_weak_coupling_sums_every_level(self):
         assert canonical_sum(0.1, 10.0, 100).last_level == 100
