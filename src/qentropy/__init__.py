@@ -9,29 +9,9 @@ probabilities, an independent Schrodinger-propagator oracle, and a CLI
 that emits the reference figure data as CSV.
 """
 
-from . import classical, majorization, quadrature, quantum, schrodinger, verify
-from .majorization import (
-    DoublyStochasticError,
-    EntropyReport,
-    ProbabilityVector,
-    TransitionMatrix,
-    check_doubly_stochastic,
-    diagonal_entropy,
-    entropy_change,
-    evolve_distribution,
-    random_unistochastic,
-    von_neumann_entropy,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "classical",
-    "majorization",
-    "quadrature",
-    "quantum",
-    "schrodinger",
-    "verify",
+_MODULES = ("classical", "majorization", "quadrature", "quantum", "schrodinger",
+            "verify")
+_FROM_MAJORIZATION = (
     "DoublyStochasticError",
     "EntropyReport",
     "ProbabilityVector",
@@ -42,5 +22,24 @@ __all__ = [
     "evolve_distribution",
     "random_unistochastic",
     "von_neumann_entropy",
-    "__version__",
-]
+)
+
+__version__ = "0.1.0"
+
+__all__ = [*_MODULES, *_FROM_MAJORIZATION, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a module, or a majorization name, on first use: a command
+    loads only the modules it runs."""
+    if name in _MODULES:
+        # the import statement's path binds the module here, and unlike
+        # importlib.import_module it shows in -X importtime
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    if name in _FROM_MAJORIZATION:
+        from . import majorization
+
+        globals()[name] = value = getattr(majorization, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

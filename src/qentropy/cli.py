@@ -28,13 +28,7 @@ import sys
 import click
 import numpy as np
 
-from . import classical, quantum, verify as verify_mod
-from .majorization import (
-    ProbabilityVector,
-    entropy_change,
-    evolve_distribution,
-    random_unistochastic,
-)
+from . import classical, quantum
 
 
 class _Finite(click.FloatRange):
@@ -245,6 +239,8 @@ def fig3(beta, n_trunc, output, **scan):
               help="Random (population, matrix) pairs for the theorem check.")
 def verify(seed, trials):
     """Run the invariant suite and exit non-zero on any failure."""
+    from . import verify as verify_mod
+
     results = verify_mod.run_all(seed, trials)
     for result in results:
         click.echo(result.line())
@@ -260,6 +256,13 @@ def verify(seed, trials):
 @click.option("--seed", type=click.IntRange(min=0), default=7)
 def theorem_demo(dim, seed):
     """Show the entropy-increase bookkeeping on one random instance."""
+    from .majorization import (
+        ProbabilityVector,
+        entropy_change,
+        evolve_distribution,
+        random_unistochastic,
+    )
+
     raw = np.random.default_rng(seed).dirichlet(np.ones(dim))
     matrix = random_unistochastic(dim, seed + 1)
     for label, weights in (("decreasing populations", np.sort(raw)[::-1]),

@@ -45,7 +45,10 @@ given level.  Past the column at exp(-800) every entry would round to
 cut's meaning and output, stay the same bit for bit.  Past the column at
 2**-56 no entry can move an adaptive row's running sums, so an adaptive
 row is swept to there and cut, kept or raised exactly as if swept to
-:data:`HARD_CAP`.  The thermal sum ends at a weight top: the first level
+:data:`HARD_CAP`.  A fixed row of the thermal sum stops sooner, past the
+column at ``2**-56 floor / ln(2 top + 1)``, with ``floor`` the theorem's
+floor below: the entries left out there move the sum by at most 2**-56
+of it.  The thermal sum ends at a weight top: the first level
 past which the bounded gains of the remaining levels, times their
 thermal weights, stay below 2**-54 of the partial sum, whose floor from
 the entropy-increase theorem fixes in advance how far the rows are
@@ -272,7 +275,8 @@ def _column_top(last, work, top, log_level) -> np.ndarray:
     bracket the first that passes, and the columns of that bracket pick
     it.
     """
-    last, work, top = (np.asarray(a)[..., None] for a in (last, work, top))
+    last, work, top, log_level = (np.asarray(a)[..., None]
+                                  for a in (last, work, top, log_level))
     log_work = _log(work)
     log_factorial = _log_factorials(int(top.max()) + 1)
     log_last = log_factorial[last]
@@ -388,7 +392,8 @@ def _chunks(rows: list, widths: list):
 
 
 def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
-                    policy: TruncationPolicy, failed: dict | None = None):
+                    policy: TruncationPolicy, failed: dict | None = None,
+                    log_mass=_UNDERFLOW_LOG):
     """Rows first..lasts[i] out of each work ``works[i]``, truncated by
     ``policy``.
 
@@ -398,15 +403,19 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
     captured mass.  ``p`` is a view that the next item may overwrite.
     Consecutive works are swept together, in :func:`_chunks` of their own
     rows and swept columns; each work is judged on its own rows and
-    columns only, so it yields what it would alone.  Under a fixed cut
-    the sweep ends where every later entry would round to 0.0, and a
-    :class:`TruncationWarning` names the row of a work that leaves out
-    most mass if that exceeds :data:`MASS_DEFICIT_TOL`.
+    columns only, so it yields what it would alone.  Under a fixed cut a
+    work's sweep ends at the first column past which Laguerre's bound
+    leaves at most ``exp(log_mass)`` of mass in each row; by default
+    exp(-800), where every later entry would round to 0.0, and for the
+    thermal sum a level from its floor (:func:`_thermal_sums`), one per
+    work.  A :class:`TruncationWarning` names the row of a work that
+    leaves out most mass if that exceeds :data:`MASS_DEFICIT_TOL`.
 
-    Adaptively, a work's rows are swept to the first column past which
-    Laguerre's bound leaves at most 2**-56 of mass in each (at most
-    :data:`HARD_CAP`).  Every entry past it is then below 2**-56, under
-    half an ulp of a running sum that has reached 1/4, and a row's sum
+    Adaptively, ``log_mass`` is unused: a work's rows are swept to the
+    first column past which Laguerre's bound leaves at most 2**-56 of
+    mass in each (at most :data:`HARD_CAP`).  Every entry past it is then
+    below 2**-56, under half an ulp of a running sum that has reached
+    1/4, and a row's sum
     reaches about 1 by that column; so ``np.cumsum``'s sequential sums
     could not change past it, and each row's cut column, captured mass,
     and its mass at the top, equal those of a sweep to :data:`HARD_CAP`
@@ -421,7 +430,7 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
         if not 0 <= first <= lasts.min() <= lasts.max() <= policy.top:
             raise ValueError(f"need 0 <= first <= last <= top, got {first}, "
                              f"{lasts.max()}, {policy.top}")
-        stops = _column_top(lasts, works, policy.top, _UNDERFLOW_LOG)
+        stops = _column_top(lasts, works, policy.top, log_mass)
     else:
         if HARD_CAP < lasts.max():
             raise TruncationError(f"hard cap {HARD_CAP} is below level {lasts.max()}")
@@ -513,11 +522,11 @@ def level_entropies(last: int, work: float,
 
 
 def _level_gains(lasts: np.ndarray, works: np.ndarray, policy: TruncationPolicy,
-                 failed: dict) -> np.ndarray:
+                 failed: dict, log_mass=_UNDERFLOW_LOG) -> np.ndarray:
     """Entropy gains of the rows n = 0..lasts[i] of each work: the cut
     row's ``sum_m p(n -> m) ln(m + 1/2)`` less ``ln(n + 1/2)``, zero past
-    each work's last row; works that fail are stored in ``failed`` (see
-    :func:`_truncated_rows`).
+    each work's last row; works that fail are stored in ``failed``, and
+    fixed rows are swept to ``log_mass`` (see :func:`_truncated_rows`).
 
     Each entry adds ``p ln((m + 1/2)/(n + 1/2))``, exactly 0 at m = n,
     and an entry past an adaptive cut, which the cut row's sum leaves
@@ -529,7 +538,7 @@ def _level_gains(lasts: np.ndarray, works: np.ndarray, policy: TruncationPolicy,
     """
     gains = np.zeros((works.size, int(lasts.max()) + 1))
     log_levels = np.log(np.arange((policy.top or HARD_CAP) + 1) + 0.5)
-    for i, p, lengths, _ in _truncated_rows(0, lasts, works, policy, failed):
+    for i, p, lengths, _ in _truncated_rows(0, lasts, works, policy, failed, log_mass):
         rows, width = p.shape
         ratios = np.where(np.arange(width) < lengths[:, None], log_levels[:width], 0.0)
         ratios -= log_levels[:rows, None]
@@ -568,6 +577,17 @@ def canonical_sum(inv_temperature: float, work, level_cutoff: int,
     work whose computed sum still misses the rule there, its rows' own
     error being over half the floor (adaptive work 1e-20 at beta 2),
     sums every level in one more sweep.
+
+    Under a fixed top the floor also ends each row's sweep, at the
+    column past which Laguerre's bound leaves at most ``2**-56 floor /
+    ln(2 top + 1)`` of mass in a row, or exp(-800) if that is larger.
+    An entry p left out would add at most ``p ln((top + 1/2)/(1/2))`` to
+    its row's gain and the thermal weights sum below 1, so the sum moves
+    by at most ``2**-56 floor``.  A weak drive keeps its gain: at work
+    1e-20 and beta 0.1 the level is about e^-91, below row 100's entries
+    of about 1e-18 next to the diagonal.  A row leaves out under 2**-56,
+    under an ulp of its captured mass, so it warns as if swept to
+    exp(-800).
 
     A column is sorted by work, and each sweep takes consecutive works
     in chunks (:func:`_truncated_rows`).  Every work gets the value,
@@ -634,13 +654,18 @@ def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
     tails[:, :-1] = np.cumsum((weights * caps)[:, :0:-1], axis=1)[:, ::-1]
     # every partial sum is at least (1-q)^2 g_0 >= (1-q)^2 (1 - e^-w) ln 3
     floor = (1.0 - q) ** 2 * -np.expm1(-works) * math.log(3.0)
+    # how far a fixed row is swept: at most 2**-56 floor of gain left out
+    with np.errstate(divide="ignore"):
+        log_mass = np.maximum(_UNDERFLOW_LOG,
+                              np.log(2.0**-56 * floor / math.log(2.0 * top + 1.0)))
     lasts = np.where(may_cut, np.argmax(tails <= 2.0**-55 * floor[:, None], axis=1),
                      level_cutoff)
     values, last_levels = np.zeros(works.size), np.full(works.size, level_cutoff)
     active = np.arange(works.size)
     while active.size:  # at most twice: the second sweep is to level_cutoff
         stage_failed = {}
-        gains = _level_gains(lasts[active], works[active], policy, stage_failed)
+        gains = _level_gains(lasts[active], works[active], policy, stage_failed,
+                             log_mass[active])
         failed.update((int(active[k]), error) for k, error in stage_failed.items())
         partial = np.cumsum(weights[: gains.shape[1]] * gains, axis=1)
         own = levels[: gains.shape[1]] <= lasts[active, None]
@@ -664,15 +689,16 @@ def canonical_entropy_change(inv_temperature: float, work, level_cutoff: int,
     return canonical_sum(inv_temperature, work, level_cutoff, policy).value
 
 
-def canonical_tail_bound(inv_temperature: float, work: float,
-                         level_cutoff: int) -> float:
-    """Upper bound on the canonical sum's neglected geometric tail.
+def canonical_tail_bound(inv_temperature: float, work, level_cutoff: int):
+    """Upper bound on the canonical sum's neglected geometric tail; for a
+    1-d array of works, one bound per work.
 
     Uses concavity (entropy gain of level n is at most
     ``ln(1 + work/(n + 1/2))``) and the exact geometric remainder.
     """
     if not 0.0 < inv_temperature < math.inf:
         raise ValueError("inverse temperature must be positive and finite")
-    _check_work(work)
-    gain_cap = math.log1p(work / (level_cutoff + 1.5))
-    return math.exp(-inv_temperature * (level_cutoff + 1)) * gain_cap
+    works = _check_work(work)
+    bounds = math.exp(-inv_temperature * (level_cutoff + 1)) * np.log1p(
+        works / (level_cutoff + 1.5))
+    return float(bounds) if works.ndim == 0 else bounds

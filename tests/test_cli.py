@@ -385,6 +385,30 @@ def test_cli_runs_without_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_figure_commands_load_only_what_they_run(tmp_path):
+    # verify and theorem-demo import their modules when they run, and the
+    # package's names are read on first use
+    script = (
+        "import sys, qentropy.cli\n"
+        "for args in (['fig1', '--n-trunc', '3'], ['fig2', '--t-max', '1'],\n"
+        "             ['fig3', '--t-max', '1', '--n-trunc', '5']):\n"
+        "    qentropy.cli.main(args=args, standalone_mode=False)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qentropy.')))\n"
+        "from qentropy import ProbabilityVector, verify\n"
+        "print(ProbabilityVector.__module__, verify.__name__)\n"
+    )
+    src = str(Path(qentropy.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded, names = result.stdout.splitlines()[-2:]
+    assert loaded == str(["qentropy.classical", "qentropy.cli", "qentropy.quadrature",
+                          "qentropy.quantum"])
+    assert names == "qentropy.majorization qentropy.verify"
+
+
 @pytest.mark.parametrize("command", ["verify", "theorem-demo"])
 def test_rejects_negative_seed(runner, command):
     # numpy's generators take only non-negative seeds

@@ -1,6 +1,7 @@
 """Property-based checks of the identities the figures rest on."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,40 @@ def test_thermal_cut_matches_the_full_sum(beta, work, cutoff, adaptive):
     tail = (weights * caps)[total.last_level + 1 :].sum()
     assert total.last_level == cutoff or (
         tail <= 2.0**-54 * abs(terms[: total.last_level + 1].sum()))
+
+
+@given(st.floats(min_value=0.05, max_value=20.0),
+       st.one_of(st.just(0.0), st.floats(min_value=1e-20, max_value=1e-6), WORKS),
+       st.integers(1, 100), st.integers(0, 300))
+def test_fixed_thermal_rows_end_where_the_floor_cannot_see(beta, work, cutoff, extra):
+    # a fixed row's sweep ends where its bounded mass is at most 2**-56 of
+    # the theorem's floor over ln(2 top + 1), the most an entry's gain can
+    # weigh; swept on to the underflow column, the sum moves by at most
+    # 2**-56 of the floor, and its last level and warnings do not move.
+    # The top follows the mean-level rule: the highest level plus the work
+    policy = quantum.TruncationPolicy(top=cutoff + math.ceil(work) + extra)
+    level_gains, calls = quantum._level_gains, []
+
+    def to_the_underflow(lasts, works, policy, failed, *_):
+        calls.append(lasts)
+        return level_gains(lasts, works, policy, failed)
+
+    def thermal_sum():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            total = quantum.canonical_sum(beta, work, cutoff, policy)
+        return total, [(w.category, str(w.message)) for w in caught]
+
+    (value, last_level), warned = thermal_sum()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantum, "_level_gains", to_the_underflow)
+        (swept, swept_last_level), swept_warned = thermal_sum()
+    assert calls
+    q = math.exp(-beta)
+    floor = (1.0 - q) ** 2 * -math.expm1(-work) * math.log(3.0)
+    assert abs(value - swept) <= 2.0**-56 * floor + 4 * np.spacing(abs(swept))
+    assert last_level == swept_last_level
+    assert warned == swept_warned
 
 
 def near(center, width):

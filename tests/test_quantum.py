@@ -468,6 +468,14 @@ class TestCanonical:
         value_100 = canonical_entropy_change(0.5, 5.0, 100)
         assert abs(value_100 - value_30) <= canonical_tail_bound(0.5, 5.0, 30)
 
+    def test_tail_bound_of_a_column_is_elementwise(self):
+        works = TestUnderflowTop.FIG3_WORKS
+        bounds = canonical_tail_bound(2.0, works, 100)
+        assert bounds.shape == works.shape
+        for bound, work in zip(bounds.tolist(), works.tolist()):
+            assert bound == canonical_tail_bound(2.0, work, 100)
+        assert isinstance(canonical_tail_bound(2.0, 5.0, 100), float)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             canonical_entropy_change(-1.0, 1.0, 10)
@@ -542,10 +550,10 @@ class TestThermalRowCut:
         sweeps = {}
         truncated_rows = quantum._truncated_rows
 
-        def recorded(first, lasts, works, policy, failed=None):
+        def recorded(first, lasts, works, *rest):
             for last, work in zip(lasts.tolist(), works.tolist()):
                 sweeps.setdefault(work, []).append(last)
-            return truncated_rows(first, lasts, works, policy, failed)
+            return truncated_rows(first, lasts, works, *rest)
 
         monkeypatch.setattr(quantum, "_truncated_rows", recorded)
         return sweeps
@@ -576,6 +584,24 @@ class TestThermalRowCut:
         assert str(error.value) == (
             "mass 0.999999999998181 below target 0.999999999999000 at the hard cap "
             "5000 (level=51, work=1e-20)")
+
+    def test_fixed_rows_end_short_of_the_underflow(self, monkeypatch):
+        # fig3's default column: a fixed row needs no entry past the column
+        # where its bounded mass is 2**-56 of the floor over ln(2 top + 1),
+        # far inside the exp(-800) column that transition_block sweeps to
+        swept = []
+        fill_block = quantum._fill_block
+
+        def recorded(first, works, out):
+            swept.append((first + out.shape[1] - 1, np.copy(works), out.shape[2] - 1))
+            return fill_block(first, works, out)
+
+        monkeypatch.setattr(quantum, "_fill_block", recorded)
+        canonical_sum(2.0, TestUnderflowTop.FIG3_WORKS, 100, TruncationPolicy(top=1000))
+        assert swept
+        for last, works, widest in swept:
+            underflow = quantum._column_top(last, works, 1000, quantum._UNDERFLOW_LOG)
+            assert widest < underflow.max(), (last, widest)
 
     def test_weak_coupling_sums_every_level(self):
         assert canonical_sum(0.1, 10.0, 100).last_level == 100
