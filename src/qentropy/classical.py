@@ -196,20 +196,22 @@ def final_volume(initial_volume: float, initial_phase, descriptor: WorkDescripto
     return out if out.ndim else float(out)
 
 
-def kernel_density(final_vol, initial_volume: float, work: float):
+def kernel_density(final_vol, initial_volume, work):
     """Transition density between enclosed volumes.
 
     ``(1/pi) / sqrt(4*v*w - (v' - v - w)**2)`` strictly inside the
     support, 0 outside; the endpoints themselves map to 0 (the
-    singularity there is integrable and carries no mass).  Degenerate
-    drives (``work == 0``) or orbits (``initial_volume == 0``) produce a
-    delta distribution and are rejected; callers must special-case them.
+    singularity there is integrable and carries no mass).  Broadcasts
+    over all three arguments, each entry the same as computed alone.
+    Every initial volume and work must be finite; degenerate drives
+    (``work == 0``) or orbits (``initial_volume == 0``) produce a delta
+    distribution and are rejected; callers must special-case them.
     """
-    _check_non_negative(initial_volume, work)
-    if initial_volume == 0.0 or work == 0.0:
-        raise ValueError("kernel density needs initial_volume > 0 and work > 0")
+    v0, w = np.asarray(initial_volume, dtype=float), np.asarray(work, dtype=float)
+    if not np.all((0.0 < v0) & (v0 < math.inf) & (0.0 < w) & (w < math.inf)):
+        raise ValueError("kernel density needs finite initial_volume > 0 and work > 0")
     v = np.asarray(final_vol, dtype=float)
-    disc = 4.0 * initial_volume * work - (v - initial_volume - work) ** 2
+    disc = 4.0 * v0 * w - (v - v0 - w) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         dens = np.where(disc > 0.0, 1.0 / (math.pi * np.sqrt(np.abs(disc))), 0.0)
     return dens if dens.ndim else float(dens)

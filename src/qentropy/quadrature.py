@@ -1,4 +1,5 @@
-"""Quadrature helpers used by the classical-oscillator formulas.
+"""Quadrature helpers used by the classical-oscillator formulas and by
+the kernel check of :mod:`qentropy.verify`.
 
 Two tools cover everything this package integrates:
 

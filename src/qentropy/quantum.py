@@ -68,7 +68,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -168,7 +167,8 @@ def charlier_direct(m: int, n: int, work: float) -> float:
     to cancellation already around m = n = 20.  With L = min(m, n) the
     terms share the denominator ``num**L``, so the numerator is summed
     in integers, ``sum_l (-1)^l C(m, l) C(n, l) l! den^l num^(L-l)``,
-    and only the one quotient is a :class:`~fractions.Fraction`.
+    and the one quotient is Python's integer true division, which rounds
+    the exact rational once.
     Intended as the reference implementation for small indices; the
     value itself overflows the float range around m = n ~ 170 and is
     then flagged.
@@ -177,12 +177,12 @@ def charlier_direct(m: int, n: int, work: float) -> float:
         raise ValueError("indices must be non-negative")
     if work <= 0.0:
         raise ValueError("work must be positive")
-    num, den = Fraction(work).as_integer_ratio()
+    num, den = float(work).as_integer_ratio()
     top = min(m, n)
     total = sum((-1) ** l * math.comb(m, l) * math.comb(n, l) * math.factorial(l)
                 * den**l * num ** (top - l) for l in range(top + 1))
     try:
-        return float(Fraction(total, num**top))
+        return total / num**top
     except OverflowError as exc:
         raise ValueError(
             f"direct sum overflows at m={m}, n={n}; use transition_probability"

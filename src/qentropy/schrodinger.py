@@ -16,13 +16,16 @@ truncated basis.  The identity part is one scalar phase per step, so
 the propagator keeps its phase, not only |U|^2; the remainder acts on
 level dim-1 alone, whose mass the leak monitor bounds.
 
-x maps even levels to odd ones, so one SVD x[even, odd] = A diag(s) B^T
-(for odd dim A is square, with one unpaired x = 0 mode) diagonalises it
-in pairs.  With the odd sector carried as i u_odd, a kick turns each
-pair (A^T u_even, B^T (i u_odd)) by the real angle c f s_j: four real
+x maps even levels to odd ones, so x[even, odd] = A diag(s) B^T (for
+odd dim A is square, with one unpaired x = 0 mode) diagonalises it in
+pairs.  With the odd sector carried as i u_odd, a kick turns each pair
+(A^T u_even, B^T (i u_odd)) by the real angle c f s_j: four real
 half-size products per kick, half the multiply-adds of two full ones.
-Every factor is unitary to roundoff by construction, so the Gram defect
-of the propagated columns measures only accumulation, not scheme error.
+LAPACK gives only s; A and B come from x's eigenvectors, Hermite
+functions, by recurrence (:func:`_pairs`), so no LAPACK eigenvector
+routine wakes OpenBLAS's worker thread and leaves it spinning.  Every
+factor is unitary to roundoff by construction, so the Gram defect of the
+propagated columns measures only accumulation, not scheme error.
 
 Only the columns that a caller reads are propagated: ``levels`` initial
 number states, so the cost of a step scales with ``dim**2 * levels``.
@@ -80,6 +83,39 @@ def _position(dim: int) -> np.ndarray:
     return np.diag(coupling, 1) + np.diag(coupling, -1)
 
 
+def _pairs(dim: int):
+    """x's parity pairs ``(A, s, B)``: ``x[even, odd] B = A diag(s)``,
+    with A and B orthogonal and s the singular values, largest first.
+
+    The truncated x is the Jacobi matrix of the Hermite polynomials
+    (Golub & Welsch, Math. Comp. 23, 221 (1969)), so its eigenvector v at
+    the eigenvalue s_j is a Hermite function, ``v[n+1] = (sqrt(2) s_j
+    v[n] - sqrt(n) v[n-1]) / sqrt(n+1)`` from ``v[0] = 1``, stable
+    forward; a column is scaled by 2**-500 (exactly) whenever it grows
+    past 2**500.  The even rows of v give column j of A, the odd rows
+    column j of B, each set re-orthonormalised by one QR.  For odd dim,
+    A's last column is the even part of the eigenvector at 0, the mode
+    x[even, odd] leaves unpaired."""
+    s = np.linalg.svd(_position(dim)[0::2, 1::2], compute_uv=False)
+    roots = np.append(s, 0.0) if dim % 2 else s
+    v = np.empty((dim, roots.size))
+    v[0], v[1] = 1.0, math.sqrt(2.0) * roots
+    for n in range(1, dim - 1):
+        v[n + 1] = (math.sqrt(2.0) * roots * v[n] - math.sqrt(n) * v[n - 1]) \
+            / math.sqrt(n + 1)
+        big = np.abs(v[n + 1]) > 2.0**500
+        if big.any():
+            v[:n + 2, big] *= 2.0**-500
+    return _orthonormal(v[0::2]), s, _orthonormal(v[1::2, :s.size])
+
+
+def _orthonormal(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal columns of the square ``columns`` by QR, each turned to
+    point as its original column does."""
+    q, r = np.linalg.qr(columns)
+    return q * np.sign(np.diag(r))
+
+
 def propagate(drive, dim: int, steps: int, levels: int) -> PropagatorResult:
     """Evolve the number states ``0..levels-1`` over the drive interval.
 
@@ -89,6 +125,8 @@ def propagate(drive, dim: int, steps: int, levels: int) -> PropagatorResult:
     kicks merged; skipped where the force is 0) between half free
     steps, plus one scalar phase per step.  Fourth order in
     ``dt = duration / steps``; every factor is unitary to roundoff.
+    The kicks turn x's parity pairs (:func:`_pairs`, no LAPACK
+    eigenvector call).
     Deterministic; raises :class:`UnitarityError` unless the Gram defect
     ``max|U_c^H U_c - I|`` of the propagated columns ``U_c`` is at most
     :data:`UNITARITY_THRESHOLD` (raise ``steps`` or lower ``dim`` if that
@@ -101,8 +139,8 @@ def propagate(drive, dim: int, steps: int, levels: int) -> PropagatorResult:
     if not 1 <= levels <= dim:
         raise ValueError(f"levels must be in 1..{dim}")
     dt = drive.duration / steps
-    a, s, bt = np.linalg.svd(_position(dim)[0::2, 1::2])
-    at, b = np.ascontiguousarray(a.T), np.ascontiguousarray(bt.T)
+    a, s, b = _pairs(dim)
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     free = np.exp(-0.5j * dt * (np.arange(dim) + 0.5))[:, None]
     free_even, free_odd = free[0::2].copy(), free[1::2].copy()
     times = np.linspace(0.0, drive.duration, 2 * steps + 1)  # ends exactly

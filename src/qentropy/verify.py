@@ -24,6 +24,7 @@ from .majorization import (
     random_unistochastic,
     von_neumann_entropy,
 )
+from .quadrature import periodic_average
 
 _THEOREM_DIMS = (2, 8, 16, 64)
 _WORK_GRID = (0.1, 1.0, 10.0, 44.41321980490211)
@@ -199,27 +200,32 @@ def charlier_consistency() -> CheckResult:
     return CheckResult("charlier_consistency", worst <= 1e-10, worst, 1e-10)
 
 
+def _angle_mass(density, center: float, spread: float) -> float:
+    """Integral of ``density(v)`` over ``v = center + spread cos(psi)``,
+    psi in (0, pi): pi times the average of ``density(v) |dv/dpsi|`` over
+    a full period, at the midpoints ``psi_k + pi/64`` of 64 nodes, which
+    keep away from psi = 0 and pi, where the kernel's discriminant
+    cancels."""
+    def integrand(psi):
+        psi = psi + math.pi / 64
+        return density(center + spread * np.cos(psi)) * spread * np.abs(np.sin(psi))
+
+    return math.pi * periodic_average(integrand, 64)
+
+
 def kernel_stochasticity() -> CheckResult:
-    """Kernel mass equals 1 along both arguments (angle substitution)."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    psi = 0.5 * math.pi * (nodes + 1.0)
-    w_psi = 0.5 * math.pi * weights
+    """Kernel mass equals 1 along both arguments.  After the angle
+    substitution the integrand is analytically 1/pi."""
     worst = 0.0
     for a in (0.1, 3.1622776601683795, 100.0):
         for b in (0.1, 3.1622776601683795, 100.0):
-            # mass over final volumes at fixed initial volume a
-            spread = 2.0 * math.sqrt(a * b)
-            theta = a + b + spread * np.cos(psi)
-            jac = spread * np.sin(psi)
-            row_mass = float(np.dot(w_psi, classical.kernel_density(theta, a, b) * jac))
-            # mass over initial volumes at fixed final volume a
-            phi = a + b + spread * np.cos(psi)
-            col_mass = float(
-                np.dot(
-                    w_psi,
-                    np.array([classical.kernel_density(a, v, b) for v in phi]) * jac,
-                )
-            )
+            center, spread = a + b, 2.0 * math.sqrt(a * b)
+            # over final volumes at fixed initial volume a, then over
+            # initial volumes at fixed final volume a
+            row_mass = _angle_mass(lambda v: classical.kernel_density(v, a, b),
+                                   center, spread)
+            col_mass = _angle_mass(lambda v: classical.kernel_density(a, v, b),
+                                   center, spread)
             worst = max(worst, abs(row_mass - 1.0), abs(col_mass - 1.0))
     return CheckResult("kernel_stochasticity", worst <= 1e-8, worst, 1e-8)
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from qentropy import quantum
+from qentropy import classical, quantum, verify
 from qentropy.classical import (
     HalfSineDrive,
     KernelSupport,
@@ -257,6 +257,36 @@ class TestKernel:
         ))
         assert row == pytest.approx(1.0, abs=1e-8)
         assert col == pytest.approx(1.0, abs=1e-8)
+
+    def test_array_arguments_equal_scalar_calls(self):
+        finals = np.array([0.3, 2.0, 5.5, 9.0, 30.0])
+        volumes = np.array([0.1, 1.0, 3.1622776601683795, 7.0, 100.0])
+        works = np.array([0.1, 2.0, 0.5, 3.1622776601683795, 10.0])
+        single = [kernel_density(*args) for args in zip(finals, volumes, works)]
+        assert np.array_equal(kernel_density(finals, volumes, works), single)
+        assert np.count_nonzero(single) == 4
+        column = [kernel_density(2.0, v, 1.5) for v in volumes]
+        assert np.array_equal(kernel_density(2.0, volumes, 1.5), column)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf])
+    def test_array_arguments_reject_a_bad_entry(self, bad):
+        entries = np.array([1.0, bad, 2.0])
+        with pytest.raises(ValueError):
+            kernel_density(1.5, entries, 1.0)
+        with pytest.raises(ValueError):
+            kernel_density(1.5, 1.0, entries)
+
+    def test_mass_check_catches_a_scaled_density(self, monkeypatch):
+        density, calls = classical.kernel_density, []
+
+        def scaled(*args):
+            calls.append(args)
+            return density(*args) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(classical, "kernel_density", scaled)
+        check = verify.kernel_stochasticity()
+        assert len(calls) == 18  # one call per mass: 9 (a, b) pairs, 2 ways
+        assert not check.passed and check.observed > 9e-7
 
 
 class TestMicrocanonicalStats:

@@ -394,6 +394,7 @@ def test_figure_commands_load_only_what_they_run(tmp_path):
         "             ['fig3', '--t-max', '1', '--n-trunc', '5']):\n"
         "    qentropy.cli.main(args=args, standalone_mode=False)\n"
         "print(sorted(m for m in sys.modules if m.startswith('qentropy.')))\n"
+        "print('fractions' in sys.modules)\n"
         "from qentropy import ProbabilityVector, verify\n"
         "print(ProbabilityVector.__module__, verify.__name__)\n"
     )
@@ -403,9 +404,10 @@ def test_figure_commands_load_only_what_they_run(tmp_path):
         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    loaded, names = result.stdout.splitlines()[-2:]
+    loaded, fractions, names = result.stdout.splitlines()[-3:]
     assert loaded == str(["qentropy.classical", "qentropy.cli", "qentropy.quadrature",
                           "qentropy.quantum"])
+    assert fractions == "False"  # charlier_direct rounds with int division
     assert names == "qentropy.majorization qentropy.verify"
 
 

@@ -10,11 +10,12 @@ from qentropy.schrodinger import (
     BasisLeakWarning,
     PropagatorResult,
     UnitarityError,
+    _pairs,
     _position,
     numeric_transition_row,
     propagate,
 )
-from qentropy.verify import oracle_agreement
+from qentropy.verify import kernel_stochasticity, oracle_agreement
 
 
 def cosine_drive(amplitude, duration):
@@ -40,6 +41,55 @@ class TestHamiltonianMatrix:
         assert np.array_equal(x, x.T)
         beyond = np.triu(x, 2)
         assert np.all(beyond == 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 60, 61, 140, 141])
+def test_pair_basis(dim):
+    a, s, b = _pairs(dim)
+    x = _position(dim)[0::2, 1::2]
+    for q in (a, b):
+        assert np.max(np.abs(q.T @ q - np.eye(len(q)))) <= 1e-14
+    assert np.max(np.abs(x @ b - a[:, :s.size] * s)) <= 1e-12
+    if dim % 2:  # A's last column is the mode x[even, odd] leaves unpaired
+        assert np.max(np.abs(a[:, -1] @ x)) <= 1e-12
+
+
+def test_pair_basis_beyond_the_float_range_of_the_recurrence():
+    # the largest root of H_801 is about sqrt(1603), so unscaled its
+    # column would grow by about e**801 from v[0] = 1 and overflow
+    a, s, b = _pairs(801)
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+    assert np.max(np.abs(a.T @ a - np.eye(401))) <= 1e-14
+    assert np.max(np.abs(_position(801)[0::2, 1::2] @ b - a[:, :400] * s)) <= 1e-11
+
+
+def test_oracle_and_kernel_checks_call_no_lapack_eigen_routine(monkeypatch):
+    # such a call wakes OpenBLAS's worker thread, which then spins for
+    # about 135 ms of CPU; singular values alone and QR do not
+    calls, svd = [], np.linalg.svd
+
+    def spy_svd(*args, **kwargs):
+        calls.append(("svd", kwargs.get("compute_uv", True)))
+        return svd(*args, **kwargs)
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        spy(np.linalg, name)
+    spy(np.polynomial.legendre, "leggauss")
+    assert kernel_stochasticity().passed and oracle_agreement().passed
+    assert calls == [("svd", False)]
+    # the spies sit where numpy's own callers look them up
+    np.polynomial.legendre.leggauss(4)
+    assert calls[1:] == ["leggauss", "eigvalsh"]
 
 
 class TestPropagate:
