@@ -8,280 +8,279 @@ fig3          canonical entropy change versus switching time
 verify        run the invariant suite; exit 0 only if everything passes
 theorem-demo  walk one random instance of the entropy-increase theorem
 
-Each option is declared once, with its range in its click type, so bad
-input exits 2 before anything runs; a fixed cut (``--m-trunc`` > 0) must
-also reach the mean final level, the highest initial level plus the
-largest work, a duration grid may hold at most :data:`MAX_DURATIONS`
-points and a theorem-demo matrix at most :data:`MAX_DEMO_DIM` levels.
-CSV files are UTF-8 with ``#``-prefixed header comments naming the
-command and every option but ``--output``, then a column-name row, then
-data rows; floats carry 12 significant digits.  Identical inputs and
-seeds produce byte-identical files (grid points are independent, so
-evaluation order never matters).
+Each option is declared once, in :data:`_COMMANDS`, with its range in its
+type.  Bad input exits 2 with one ``Error:`` line before anything runs: so do a
+fixed cut (``--m-trunc`` > 0) below the mean final level, the highest initial
+level plus the largest work, a grid above :data:`MAX_DURATIONS` durations and an
+``--output`` that cannot be written.  CSV files are UTF-8 with ``#``-prefixed
+header comments naming the command and every option but ``--output``, a
+column-name row, then data rows with 12 significant digits; identical inputs
+and seeds give byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import re
 import sys
+from argparse import ArgumentParser, ArgumentTypeError
 
-import click
 import numpy as np
 
 from . import classical, quantum
-
-
-class _Finite(click.FloatRange):
-    """A finite float, inside the bounds if any are given; with none it
-    shows in ``--help`` as a plain FLOAT with no range text."""
-
-    def __init__(self, **bounds):
-        super().__init__(**bounds)
-        if not bounds:
-            self.name = "float"
-
-    def convert(self, value, param, ctx):
-        number = click.FLOAT.convert(value, param, ctx)
-        if not math.isfinite(number):
-            self.fail(f"{number!r} is not a finite number", param, ctx)
-        return super().convert(number, param, ctx)
-
-    def _describe_range(self) -> str:
-        return "" if self.name == "float" else super()._describe_range()
-
 
 #: Most durations a fig2 or fig3 grid may hold.
 MAX_DURATIONS = 1_000_000
 #: Largest theorem-demo dim: a 32 MiB Gaussian, about 210 MB peak RSS.
 MAX_DEMO_DIM = 2048
 
-_FINITE = _Finite()
-_POSITIVE = _Finite(min=0, min_open=True)
+
+def _number(kind, low=None, high=None, open_low=False, open_high=False):
+    """An option type: a finite ``kind`` (int or float) within the bounds given,
+    each open on request; its name is its range text, which ``--help`` shows."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ArgumentTypeError(f"{text!r} is not a valid {kind.__name__}") from None
+        if kind is float and not math.isfinite(value):
+            raise ArgumentTypeError(f"{value!r} is not a finite number")
+        if ((low is not None and (value <= low if open_low else value < low))
+                or (high is not None and (value >= high if open_high else value > high))):
+            raise ArgumentTypeError(f"{value} is not in the range {convert.__name__}.")
+        return value
+
+    below, above = ("<" if open_low else "<="), ("<" if open_high else "<=")
+    convert.__name__ = (kind.__name__ if low is None
+                        else f"x{'>' if open_low else '>='}{low}" if high is None
+                        else f"{low}{below}x{above}{high}")
+    return convert
+
+
+def _path(text: str) -> str:
+    """An ``--output`` file: named, not a directory, and writable, or new in
+    a writable directory that exists."""
+    target = text if os.path.exists(text) else os.path.dirname(text) or "."
+    if not text or os.path.isdir(text) or not os.access(target, os.W_OK):
+        raise ArgumentTypeError(f"cannot write the file {text!r}")
+    return text
+
+
+_path.__name__ = "path"
+
+
+class _Parser(ArgumentParser):
+    """Rejects bad input in one ``Error:`` line, exit 2; a negative number in any
+    form ``float`` reads (``-1e1``, ``-inf``) is a value, not an option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        self.exit(2, f"Error: {message}\n")
 
 
 def _fmt(value) -> str:
     return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: str, notes: list[str], columns: list[str], rows) -> None:
-    """Write a figure CSV headed by the running command and every option
-    but ``--output``, in declaration order."""
-    ctx = click.get_current_context()
-    params = " ".join(f"{param.opts[0][2:]}={_fmt(ctx.params[param.name])}"
-                      for param in ctx.command.params if param.name != "output")
-    lines = [f"# qentropy {ctx.command.name}", f"# parameters: {params}"]
+def _write_csv(args, notes: list[str], columns: list[str], rows) -> None:
+    """Write ``args.output``, headed by the command and its options but ``--output``."""
+    params = " ".join(f"{flag[2:]}={_fmt(getattr(args, flag[2:].replace('-', '_')))}"
+                      for flag, *_ in _COMMANDS[args.command][1] if flag != "--output")
+    lines = [f"# qentropy {args.command}", f"# parameters: {params}"]
     lines += [f"# note: {note}" for note in notes]
     lines.append(",".join(columns))
     lines += [",".join(map(_fmt, row)) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
-    click.echo(f"wrote {len(rows)} rows to {path}")
+    print(f"wrote {len(rows)} rows to {args.output}")
 
 
-def _truncation(m_trunc: int, tail_mass: float, level: int,
-                work: float) -> quantum.TruncationPolicy:
-    """Fixed cut at m_trunc > 0, else adaptive; either must reach ``level``,
-    and a fixed cut also the mean final level ``level + work``."""
-    top = m_trunc or quantum.HARD_CAP
+def _truncation(args, level: int, work: float) -> quantum.TruncationPolicy:
+    """Fixed cut at ``--m-trunc`` > 0, else adaptive; either must reach
+    ``level``, and a fixed cut also the mean final level ``level + work``."""
+    top = args.m_trunc or quantum.HARD_CAP
     if level > top:
-        raise click.BadParameter(f"initial level {level} is above the top "
-                                 f"level {top} that --m-trunc {m_trunc} allows")
-    if m_trunc and level + work > m_trunc:
-        raise click.BadParameter(f"mean final level {level} + work {work:g} is above "
-                                 f"--m-trunc {m_trunc}; the rows would lose "
-                                 "their mass")
-    return quantum.TruncationPolicy(tail_mass=tail_mass, top=m_trunc or None)
+        raise ArgumentTypeError(f"initial level {level} is above the top level {top} "
+                                f"that --m-trunc {args.m_trunc} allows")
+    if args.m_trunc and level + work > args.m_trunc:
+        raise ArgumentTypeError(f"mean final level {level} + work {work:g} is above "
+                                f"--m-trunc {args.m_trunc}; the rows would lose their mass")
+    return quantum.TruncationPolicy(tail_mass=args.tail_mass, top=args.m_trunc or None)
 
 
-def _scan(delta, level: int, amplitude: float, t_min: float, t_max: float,
-          t_step: float, m_trunc: int, tail_mass: float) -> list[tuple]:
-    """One ``(duration, work, classical, quantum)`` row per duration of the
-    grid, the two columns of changes from one ``delta(works, policy)``
-    call; ``level`` is the highest initial level, checked with the
-    largest work on the grid."""
-    if t_max < t_min:
-        raise click.BadParameter("--t-max must be >= --t-min")
-    steps = (t_max - t_min) / t_step + 1e-9
+def _scan(args, level: int):
+    """fig2's and fig3's durations, their works and the truncation policy,
+    checked at ``level``, the highest initial level, and the largest work."""
+    if args.t_max < args.t_min:
+        raise ArgumentTypeError("--t-max must be >= --t-min")
+    steps = (args.t_max - args.t_min) / args.t_step + 1e-9
     if not steps < MAX_DURATIONS:
-        raise click.BadParameter(f"--t-step {t_step:g} puts more than {MAX_DURATIONS} "
-                                 f"durations between --t-min and --t-max")
-    count = int(steps) + 1
-    durations = t_min + t_step * np.arange(count)
+        raise ArgumentTypeError(f"--t-step {args.t_step:g} puts more than "
+                                f"{MAX_DURATIONS} durations between --t-min and --t-max")
+    durations = args.t_min + args.t_step * np.arange(int(steps) + 1)
     with np.errstate(over="ignore"):
-        works = classical.work_half_sine(amplitude, durations)
+        works = classical.work_half_sine(args.amplitude, durations)
     if not np.isfinite(works).all():
-        raise click.BadParameter(f"--amplitude {amplitude:g} makes the work overflow")
-    policy = _truncation(m_trunc, tail_mass, level, float(works.max()))
-    return list(zip(durations.tolist(), works.tolist(), *delta(works, policy)))
+        raise ArgumentTypeError(f"--amplitude {args.amplitude:g} makes the work overflow")
+    return durations, works, _truncation(args, level, float(works.max()))
 
 
-class _Commands(click.Group):
-    """Reports a row that reaches the hard cap as a one-line error, exit 1."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except quantum.TruncationError as exc:
-            raise click.ClickException(str(exc)) from exc
-
-
-@click.group(cls=_Commands, context_settings={"show_default": True})
-def main():
-    """Entropy growth of the driven oscillator: figure data and checks."""
-
-
-def _figure(name: str, *options):
-    """Register figure command ``name``: its own ``options``, then the
-    shared truncation options and ``--output`` (default ``<name>.csv``)."""
-    shared = (
-        click.option("--m-trunc", type=click.IntRange(min=0), default=1000,
-                     help="Fixed top final level of every row (0 = adaptive)."),
-        click.option("--tail-mass", default=1e-12,
-                     type=_Finite(min=0, max=1, min_open=True, max_open=True),
-                     help="Mass a row may leave out when --m-trunc is 0."),
-        click.option("--output", default=f"{name}.csv",
-                     type=click.Path(dir_okay=False, writable=True)),
-    )
-
-    def register(command):
-        for option in reversed(options + shared):
-            command = option(command)
-        return main.command(name)(command)
-
-    return register
-
-
-_AMPLITUDE = click.option("--amplitude", type=_FINITE, default=6.0,
-                          help="Half-sine force amplitude.")
-_DURATIONS = (
-    click.option("--t-min", type=_POSITIVE, default=0.25),
-    click.option("--t-max", type=_FINITE, default=30.0),
-    click.option("--t-step", type=_POSITIVE, default=0.25),
-)
 _SCAN_COLUMNS = ["switching_time", "work", "classical_delta_entropy",
                  "quantum_delta_entropy"]
 
 
-@_figure(
-    "fig1",
-    click.option("--work", type=_Finite(min=0), default=10.0,
-                 help="Drive work parameter."),
-    click.option("--n-trunc", type=click.IntRange(min=0), default=40,
-                 help="Largest initial level tabulated."),
-)
-def fig1(work, n_trunc, m_trunc, tail_mass, output):
+def _fig1(args) -> None:
     """Microcanonical entropy after the drive versus initial level."""
-    policy = _truncation(m_trunc, tail_mass, n_trunc, work)
-    entropies = quantum.level_entropies(n_trunc, work, policy).tolist()
-    rows = [(level, classical.microcanonical_stats(level + 0.5, work).log_mean,
-             entropies[level]) for level in range(n_trunc + 1)]
-    _write_csv(output, ["classical column is ln(max(level + 1/2, work)); quantum "
-                        "column is the level-sum expectation of ln(m + 1/2)"],
+    policy = _truncation(args, args.n_trunc, args.work)
+    entropies = quantum.level_entropies(args.n_trunc, args.work, policy).tolist()
+    rows = [(level, classical.microcanonical_stats(level + 0.5, args.work).log_mean,
+             entropies[level]) for level in range(args.n_trunc + 1)]
+    _write_csv(args, ["classical column is ln(max(level + 1/2, work)); quantum "
+                      "column is the level-sum expectation of ln(m + 1/2)"],
                ["level", "classical_entropy", "quantum_entropy"], rows)
 
 
-@_figure(
-    "fig2", _AMPLITUDE,
-    click.option("--level", type=click.IntRange(min=0), default=2,
-                 help="Initial level of the microcanonical start."),
-    *_DURATIONS,
-)
-def fig2(level, output, **scan):
+def _fig2(args) -> None:
     """Microcanonical entropy change versus switching time."""
-    start = math.log(level + 0.5)
-
-    def delta(works, policy):
-        works = works.tolist()
-        return ([classical.microcanonical_stats(level + 0.5, work).log_mean - start
-                 for work in works],
-                [quantum.microcanonical_stats(level, work, policy).entropy - start
-                 for work in works])
-
-    _write_csv(output, ["classical change is exactly zero wherever the work "
-                        "stays below the initial volume level + 1/2"],
-               _SCAN_COLUMNS, _scan(delta, level, **scan))
+    durations, works, policy = _scan(args, args.level)
+    start = math.log(args.level + 0.5)
+    rows = [(duration, work,
+             classical.microcanonical_stats(args.level + 0.5, work).log_mean - start,
+             quantum.microcanonical_stats(args.level, work, policy).entropy - start)
+            for duration, work in zip(durations.tolist(), works.tolist())]
+    _write_csv(args, ["classical change is exactly zero wherever the work stays "
+                      "below the initial volume level + 1/2"], _SCAN_COLUMNS, rows)
 
 
-@_figure(
-    "fig3", _AMPLITUDE,
-    click.option("--beta", type=_POSITIVE, default=2.0,
-                 help="Inverse temperature of the initial thermal ensemble."),
-    click.option("--n-trunc", type=click.IntRange(min=1), default=100,
-                 help="Top level of the thermal sum, which stops earlier where "
-                      "the remaining levels cannot change the last bit."),
-    *_DURATIONS,
-)
-def fig3(beta, n_trunc, output, **scan):
+def _fig3(args) -> None:
     """Canonical entropy change versus switching time."""
-    last_levels = []
-
-    def delta(works, policy):
-        total = quantum.canonical_sum(beta, works, n_trunc, policy)
-        last_levels.extend(total.last_level.tolist())
-        return ([classical.canonical_entropy_change(beta, work) for work in works.tolist()],
-                total.value.tolist())
-
-    rows = _scan(delta, n_trunc, **scan)
-    tail = quantum.canonical_tail_bound(beta, max(row[1] for row in rows), n_trunc)
-    _write_csv(output, [f"geometric tail beyond n-trunc bounded by {tail:.6e} at "
-                        "the largest work on this grid",
-                        f"the thermal sum reaches at most level "
-                        f"{max(last_levels)} of n-trunc {n_trunc} on this grid; "
-                        "the levels left out cannot change its last bit",
-                        "the source figure caption quotes a microcanonical volume "
-                        "5/2; the canonical data here depends only on beta and the "
-                        "drive work"], _SCAN_COLUMNS, rows)
+    durations, works, policy = _scan(args, args.n_trunc)
+    total = quantum.canonical_sum(args.beta, works, args.n_trunc, policy)
+    rows = [(duration, work, classical.canonical_entropy_change(args.beta, work), value)
+            for duration, work, value in zip(durations.tolist(), works.tolist(),
+                                             total.value.tolist())]
+    tail = quantum.canonical_tail_bound(args.beta, float(works.max()), args.n_trunc)
+    _write_csv(args, [f"geometric tail beyond n-trunc bounded by {tail:.6e} at the "
+                      "largest work on this grid",
+                      f"the thermal sum reaches at most level {total.last_level.max()} "
+                      f"of n-trunc {args.n_trunc} on this grid; the levels left out "
+                      "cannot change its last bit",
+                      "the source figure caption quotes a microcanonical volume 5/2; "
+                      "the canonical data here depends only on beta and the drive "
+                      "work"], _SCAN_COLUMNS, rows)
 
 
-@main.command("verify")
-@click.option("--seed", type=click.IntRange(min=0), default=20608)
-@click.option("--trials", type=click.IntRange(min=1), default=1000,
-              help="Random (population, matrix) pairs for the theorem check.")
-def verify(seed, trials):
+def _verify(args) -> None:
     """Run the invariant suite and exit non-zero on any failure."""
-    from . import verify as verify_mod
+    from . import verify
 
-    results = verify_mod.run_all(seed, trials)
+    results = verify.run_all(args.seed, args.trials)
     for result in results:
-        click.echo(result.line())
+        print(result.line())
     failed = [result.name for result in results if not result.passed]
     if failed:
-        click.echo(f"FAILED {len(failed)} checks: {', '.join(failed)}")
+        print(f"FAILED {len(failed)} checks: {', '.join(failed)}")
         sys.exit(1)
-    click.echo(f"all {len(results)} checks passed")
+    print(f"all {len(results)} checks passed")
 
 
-@main.command("theorem-demo")
-@click.option("--dim", type=click.IntRange(min=2, max=MAX_DEMO_DIM), default=8)
-@click.option("--seed", type=click.IntRange(min=0), default=7)
-def theorem_demo(dim, seed):
+def _theorem_demo(args) -> None:
     """Show the entropy-increase bookkeeping on one random instance."""
-    from .majorization import (
-        ProbabilityVector,
-        entropy_change,
-        evolve_distribution,
-        random_unistochastic,
-    )
+    from .majorization import (ProbabilityVector, entropy_change, evolve_distribution,
+                               random_unistochastic)
 
-    raw = np.random.default_rng(seed).dirichlet(np.ones(dim))
-    matrix = random_unistochastic(dim, seed + 1)
+    raw = np.random.default_rng(args.seed).dirichlet(np.ones(args.dim))
+    matrix = random_unistochastic(args.dim, args.seed + 1)
     for label, weights in (("decreasing populations", np.sort(raw)[::-1]),
                            ("unsorted populations", raw)):
         p = ProbabilityVector(weights)
         evolved = evolve_distribution(p, matrix)
         report = entropy_change(p, evolved)
         partial = np.cumsum(p.weights - evolved.weights)
-        click.echo(f"--- {label} (is_decreasing={p.is_decreasing})")
-        click.echo("level  p_before      p_after       cumulative_gap")
-        for n in range(dim):
-            click.echo(f"{n:5d}  {p.weights[n]:.10f}  {evolved.weights[n]:.10f}  "
-                       f"{partial[n]:+.10f}")
-        click.echo(f"entropy change direct={report.delta_direct:+.12e} "
-                   f"by-parts={report.delta_by_parts:+.12e}")
+        print(f"--- {label} (is_decreasing={p.is_decreasing})")
+        print("level  p_before      p_after       cumulative_gap")
+        for n in range(args.dim):
+            print(f"{n:5d}  {p.weights[n]:.10f}  {evolved.weights[n]:.10f}  "
+                  f"{partial[n]:+.10f}")
+        print(f"entropy change direct={report.delta_direct:+.12e} "
+              f"by-parts={report.delta_by_parts:+.12e}")
         gap = f"smallest cumulative gap {report.min_cumulative_gap:+.3e}"
-        click.echo(f"guaranteed non-negative; {gap}" if p.is_decreasing else
-                   "ordering hypothesis not met: positivity reported, not "
-                   f"asserted ({gap})")
+        print(f"guaranteed non-negative; {gap}" if p.is_decreasing else
+              f"ordering hypothesis not met: positivity reported, not asserted ({gap})")
+
+
+def _figure(name: str, *options) -> list[tuple]:
+    """A figure's own ``options``, then the truncation options and ``--output``."""
+    return [*options,
+            ("--m-trunc", _number(int, 0), 1000,
+             "Fixed top final level of every row (0 = adaptive)."),
+            ("--tail-mass", _number(float, 0, 1, True, True), 1e-12,
+             "Mass a row may leave out when --m-trunc is 0."),
+            ("--output", _path, f"{name}.csv", "CSV file to write.")]
+
+
+_AMPLITUDE = ("--amplitude", _number(float), 6.0, "Half-sine force amplitude.")
+_POSITIVE = _number(float, 0, open_low=True)
+_DURATIONS = (("--t-min", _POSITIVE, 0.25, "Shortest switching time."),
+              ("--t-max", _number(float), 30.0, "Longest switching time."),
+              ("--t-step", _POSITIVE, 0.25, "Switching-time step."))
+
+#: Each command's function and its options as ``(flag, type, default,
+#: help)``, in the order that ``--help`` and the CSV header list them.
+_COMMANDS = {
+    "fig1": (_fig1, _figure("fig1",
+                            ("--work", _number(float, 0), 10.0, "Drive work parameter."),
+                            ("--n-trunc", _number(int, 0), 40,
+                             "Largest initial level tabulated."))),
+    "fig2": (_fig2, _figure("fig2", _AMPLITUDE,
+                            ("--level", _number(int, 0), 2,
+                             "Initial level of the microcanonical start."), *_DURATIONS)),
+    "fig3": (_fig3, _figure("fig3", _AMPLITUDE,
+                            ("--beta", _POSITIVE, 2.0,
+                             "Inverse temperature of the initial thermal ensemble."),
+                            ("--n-trunc", _number(int, 1), 100, "Top level of the thermal "
+                             "sum, which stops earlier where the remaining levels cannot "
+                             "change the last bit."), *_DURATIONS)),
+    "verify": (_verify, [
+        ("--seed", _number(int, 0), 20608, "Seed of the random trials."),
+        ("--trials", _number(int, 1), 1000,
+         "Random (population, matrix) pairs for the theorem check.")]),
+    "theorem-demo": (_theorem_demo, [
+        ("--dim", _number(int, 2, MAX_DEMO_DIM), 8, "Levels of the random instance."),
+        ("--seed", _number(int, 0), 7, "Seed of the random instance.")]),
+}
+
+
+def main(args=None, prog_name: str = "qentropy") -> None:
+    """Run the command in ``args`` (default ``sys.argv[1:]``); bad input exits 2
+    and a row that reaches the hard cap exits 1, each with one ``Error:`` line."""
+    args = sys.argv[1:] if args is None else list(args)
+    if not args or args[0] not in _COMMANDS:
+        # --help, or no command or an unknown one: list or reject, and exit
+        listing = _Parser(prog=prog_name, description="Entropy growth of the driven "
+                          "oscillator: figure data and checks.")
+        commands = listing.add_subparsers(metavar="COMMAND", required=True)
+        for name, (run, _) in _COMMANDS.items():
+            commands.add_parser(name, help=run.__doc__)
+        listing.parse_args(args[:1])
+    run, options = _COMMANDS[args[0]]
+    parser = _Parser(prog=f"{prog_name} {args[0]}", description=run.__doc__)
+    parser.set_defaults(command=args[0])
+    for flag, kind, default, text in options:
+        parser.add_argument(flag, type=kind, default=default,
+                            help=f"{text} [default: %(default)s; %(type)s]")
+    parsed = parser.parse_args(args[1:])
+    try:
+        run(parsed)
+    except ArgumentTypeError as exc:
+        parser.exit(2, f"Error: Invalid value: {exc}\n")
+    except quantum.TruncationError as exc:
+        parser.exit(1, f"Error: {exc}\n")
 
 
 if __name__ == "__main__":

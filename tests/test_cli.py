@@ -1,12 +1,15 @@
 import math
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import qentropy
 from qentropy import cli, quantum
@@ -15,9 +18,17 @@ from qentropy.cli import main
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+def run(argv):
+    """Call ``main(argv)`` in this process; its exit code, its stdout and
+    stderr as one text, and the ``SystemExit`` it raised, if any."""
+    output, exit_code, exception = StringIO(), 0, None
+    with redirect_stdout(output), redirect_stderr(output):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            exit_code, exception = exc.code or 0, exc
+    return SimpleNamespace(exit_code=exit_code, output=output.getvalue(),
+                           exception=exception)
 
 
 def read_csv(path):
@@ -35,12 +46,10 @@ def read_csv(path):
 
 
 class TestFig1:
-    def test_default_columns_and_values(self, runner, tmp_path):
+    def test_default_columns_and_values(self, tmp_path):
         out = tmp_path / "fig1.csv"
-        result = runner.invoke(
-            main, ["fig1", "--n-trunc", "12", "--m-trunc", "400",
-                   "--output", str(out)]
-        )
+        result = run(["fig1", "--n-trunc", "12", "--m-trunc", "400",
+                      "--output", str(out)])
         assert result.exit_code == 0
         comments, header, rows = read_csv(out)
         assert header == ["level", "classical_entropy", "quantum_entropy"]
@@ -56,18 +65,14 @@ class TestFig1:
             assert len(row) == 3
             float(row[2])
 
-    def test_rejects_negative_work(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["fig1", "--work", "-1", "--output", str(tmp_path / "x.csv")]
-        )
+    def test_rejects_negative_work(self, tmp_path):
+        result = run(["fig1", "--work", "-1", "--output", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
 
-    def test_fixed_cut_mass_loss_warns(self, runner, tmp_path):
+    def test_fixed_cut_mass_loss_warns(self, tmp_path):
         out = tmp_path / "fig1.csv"
         with pytest.warns(quantum.TruncationWarning) as caught:
-            result = runner.invoke(
-                main, ["fig1", "--n-trunc", "900", "--output", str(out)]
-            )
+            result = run(["fig1", "--n-trunc", "900", "--output", str(out)])
         assert result.exit_code == 0
         # one block, so one warning, naming the worst row
         truncation = [w for w in caught
@@ -79,13 +84,10 @@ class TestFig1:
 
 
 class TestFig2:
-    def test_small_grid(self, runner, tmp_path):
+    def test_small_grid(self, tmp_path):
         out = tmp_path / "fig2.csv"
-        result = runner.invoke(
-            main,
-            ["fig2", "--t-min", "1", "--t-max", "6", "--t-step", "1",
-             "--m-trunc", "400", "--output", str(out)],
-        )
+        result = run(["fig2", "--t-min", "1", "--t-max", "6", "--t-step", "1",
+                      "--m-trunc", "400", "--output", str(out)])
         assert result.exit_code == 0
         _, header, rows = read_csv(out)
         assert header == ["switching_time", "work",
@@ -101,25 +103,21 @@ class TestFig2:
                     math.log(work / 2.5), rel=1e-10
                 )
 
-    def test_byte_identical_reruns(self, runner, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path):
         args = ["fig2", "--t-min", "0.5", "--t-max", "4", "--t-step", "0.5",
                 "--m-trunc", "300"]
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
-        assert runner.invoke(main, args + ["--output", str(out_a)]).exit_code == 0
-        assert runner.invoke(main, args + ["--output", str(out_b)]).exit_code == 0
+        assert run(args + ["--output", str(out_a)]).exit_code == 0
+        assert run(args + ["--output", str(out_b)]).exit_code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_adaptive_mode_matches_fixed_cut(self, runner, tmp_path):
+    def test_adaptive_mode_matches_fixed_cut(self, tmp_path):
         fixed = tmp_path / "fixed.csv"
         adaptive = tmp_path / "adaptive.csv"
         base = ["fig2", "--t-min", "2", "--t-max", "3", "--t-step", "1"]
-        assert runner.invoke(
-            main, base + ["--m-trunc", "1000", "--output", str(fixed)]
-        ).exit_code == 0
-        assert runner.invoke(
-            main, base + ["--m-trunc", "0", "--output", str(adaptive)]
-        ).exit_code == 0
+        assert run(base + ["--m-trunc", "1000", "--output", str(fixed)]).exit_code == 0
+        assert run(base + ["--m-trunc", "0", "--output", str(adaptive)]).exit_code == 0
         _, _, rows_fixed = read_csv(fixed)
         _, _, rows_adaptive = read_csv(adaptive)
         for fixed_row, adaptive_row in zip(rows_fixed, rows_adaptive):
@@ -127,25 +125,20 @@ class TestFig2:
                 float(adaptive_row[3]), abs=1e-9
             )
 
-    def test_grid_validation(self, runner, tmp_path):
+    def test_grid_validation(self, tmp_path):
         for bad in (["--t-min", "0"], ["--t-step", "-1"], ["--t-step", "0"],
                     ["--t-min", "5", "--t-max", "1"], ["--level", "-1"],
                     ["--m-trunc", "-1"]):
-            result = runner.invoke(
-                main, ["fig2", *bad, "--output", str(tmp_path / "bad.csv")]
-            )
+            result = run(["fig2", *bad, "--output", str(tmp_path / "bad.csv")])
             assert result.exit_code == 2, bad
             assert not (tmp_path / "bad.csv").exists()
 
 
 class TestFig3:
-    def test_small_grid_nonnegative(self, runner, tmp_path):
+    def test_small_grid_nonnegative(self, tmp_path):
         out = tmp_path / "fig3.csv"
-        result = runner.invoke(
-            main,
-            ["fig3", "--n-trunc", "25", "--t-min", "1", "--t-max", "8",
-             "--t-step", "1", "--m-trunc", "400", "--output", str(out)],
-        )
+        result = run(["fig3", "--n-trunc", "25", "--t-min", "1", "--t-max", "8",
+                      "--t-step", "1", "--m-trunc", "400", "--output", str(out)])
         assert result.exit_code == 0
         comments, header, rows = read_csv(out)
         assert header == ["switching_time", "work",
@@ -157,10 +150,9 @@ class TestFig3:
         assert any("caption" in c for c in comments)
 
     @pytest.mark.parametrize("m_trunc", ["1000", "0"])
-    def test_default_thermal_sum_stops_by_level_29(self, runner, tmp_path, m_trunc):
+    def test_default_thermal_sum_stops_by_level_29(self, tmp_path, m_trunc):
         out = tmp_path / "fig3.csv"
-        result = runner.invoke(main, ["fig3", "--m-trunc", m_trunc,
-                                      "--output", str(out)])
+        result = run(["fig3", "--m-trunc", m_trunc, "--output", str(out)])
         assert result.exit_code == 0, result.output
         comments, _, _ = read_csv(out)
         [note] = [c for c in comments if "thermal sum" in c]
@@ -168,21 +160,19 @@ class TestFig3:
         assert last <= 29
         assert "of n-trunc 100 " in note
 
-    def test_rejects_bad_beta(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["fig3", "--beta", "0", "--output", str(tmp_path / "x.csv")]
-        )
+    def test_rejects_bad_beta(self, tmp_path):
+        result = run(["fig3", "--beta", "0", "--output", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
 
 
 @pytest.mark.filterwarnings("error::qentropy.quantum.TruncationWarning")
 @pytest.mark.parametrize("mode, m_trunc", [("fixed", "1000"), ("adaptive", "0")])
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
-def test_default_figures_match_reference(runner, tmp_path, figure, mode, m_trunc):
+def test_default_figures_match_reference(tmp_path, figure, mode, m_trunc):
     # reference CSVs written by the original per-row code; a field may
     # move by at most 1e-10 relative (absolute 1e-14 near zero)
     out = tmp_path / f"{figure}.csv"
-    result = runner.invoke(main, [figure, "--m-trunc", m_trunc, "--output", str(out)])
+    result = run([figure, "--m-trunc", m_trunc, "--output", str(out)])
     assert result.exit_code == 0, result.output
     _, header, rows = read_csv(out)
     reference = REFERENCE / f"figures-{mode}" / f"{figure}.csv"
@@ -206,10 +196,11 @@ def test_default_figures_match_reference(runner, tmp_path, figure, mode, m_trunc
     ["fig2", "--t-step", "nan"],
     ["fig3", "--beta", "inf"],
     ["fig3", "--amplitude", "-inf"],
+    ["fig2", "--t-max", "-Infinity"],
 ])
-def test_rejects_non_finite_options(runner, tmp_path, args):
+def test_rejects_non_finite_options(tmp_path, args):
     out = tmp_path / "bad.csv"
-    result = runner.invoke(main, args + ["--output", str(out)])
+    result = run(args + ["--output", str(out)])
     assert result.exit_code == 2
     assert "not a finite number" in result.output
     assert not out.exists()
@@ -225,9 +216,9 @@ def test_rejects_non_finite_options(runner, tmp_path, args):
     ],
     ids=["fig1-fixed", "fig2-fixed", "fig3-fixed", "fig2-adaptive"],
 )
-def test_rejects_level_above_the_truncation(runner, tmp_path, args):
+def test_rejects_level_above_the_truncation(tmp_path, args):
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, args + ["--output", str(out)])
+    result = run(args + ["--output", str(out)])
     assert result.exit_code == 2
     assert "initial level" in result.output
     assert not out.exists()
@@ -241,9 +232,9 @@ def test_rejects_level_above_the_truncation(runner, tmp_path, args):
     ],
     ids=["fig1", "fig2"],
 )
-def test_truncation_error_is_one_line(runner, tmp_path, args):
+def test_truncation_error_is_one_line(tmp_path, args):
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, args + ["--output", str(out)])
+    result = run(args + ["--output", str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: mass ")
@@ -252,14 +243,14 @@ def test_truncation_error_is_one_line(runner, tmp_path, args):
     assert not out.exists()
 
 
-def test_tiny_work_adaptive_rows_still_raise(runner, tmp_path):
+def test_tiny_work_adaptive_rows_still_raise(tmp_path):
     # work 7.8e-13: the rows' own rounding takes level 90 below the 1e-12
     # tail target though no mass is lost (a known limit of the adaptive
     # cut); at beta 0.1 the thermal sum sweeps every level and meets it
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, ["fig3", "--m-trunc", "0", "--beta", "0.1",
-                                  "--t-min", "21.99115", "--t-max", "21.99115",
-                                  "--output", str(out)])
+    result = run(["fig3", "--m-trunc", "0", "--beta", "0.1",
+                  "--t-min", "21.99115", "--t-max", "21.99115",
+                  "--output", str(out)])
     assert result.exit_code == 1
     assert result.output == (
         "Error: mass 0.999999999998794 below target 0.999999999999000 at the hard "
@@ -267,14 +258,14 @@ def test_tiny_work_adaptive_rows_still_raise(runner, tmp_path):
     assert not out.exists()
 
 
-def test_tiny_work_adaptive_sum_ends_before_the_rows_that_raise(runner, tmp_path):
+def test_tiny_work_adaptive_sum_ends_before_the_rows_that_raise(tmp_path):
     # at beta 2 the same work's sum ends at level 33, within the tail
     # target of the fixed cut's value
     texts = []
     for m_trunc in ("0", "1000"):
         out = tmp_path / f"out{m_trunc}.csv"
-        result = runner.invoke(main, ["fig3", "--m-trunc", m_trunc, "--t-min", "21.99115",
-                                      "--t-max", "21.99115", "--output", str(out)])
+        result = run(["fig3", "--m-trunc", m_trunc, "--t-min", "21.99115",
+                      "--t-max", "21.99115", "--output", str(out)])
         assert result.exit_code == 0, result.output
         texts.append(out.read_text())
     assert "reaches at most level 33 of n-trunc 100" in texts[0]
@@ -283,10 +274,10 @@ def test_tiny_work_adaptive_sum_ends_before_the_rows_that_raise(runner, tmp_path
 
 
 @pytest.mark.parametrize("figure", ["fig2", "fig3"])
-def test_rejects_amplitude_whose_work_overflows(runner, tmp_path, figure):
+def test_rejects_amplitude_whose_work_overflows(tmp_path, figure):
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, [figure, "--amplitude", "1e200", "--t-max", "1",
-                                  "--output", str(out)])
+    result = run([figure, "--amplitude", "1e200", "--t-max", "1",
+                  "--output", str(out)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     errors = [line for line in result.output.splitlines()
@@ -301,9 +292,9 @@ def test_rejects_amplitude_whose_work_overflows(runner, tmp_path, figure):
     ["fig3", "--t-step", "5e-324"],
     ["fig2", "--t-min", "1", "--t-max", "1000001", "--t-step", "1"],
 ], ids=["fig2", "fig3-subnormal-step", "one-past-the-ceiling"])
-def test_rejects_duration_grid_above_the_ceiling(runner, tmp_path, args):
+def test_rejects_duration_grid_above_the_ceiling(tmp_path, args):
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, args + ["--output", str(out)])
+    result = run(args + ["--output", str(out)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     errors = [line for line in result.output.splitlines()
@@ -314,11 +305,11 @@ def test_rejects_duration_grid_above_the_ceiling(runner, tmp_path, args):
     assert not out.exists()
 
 
-def test_rejects_out_of_range_tail_mass(runner, tmp_path):
+def test_rejects_out_of_range_tail_mass(tmp_path):
     # checked under a fixed cut too, where the rows never read it
     for m_trunc in ("0", "1000"):
-        result = runner.invoke(main, ["fig1", "--m-trunc", m_trunc, "--tail-mass",
-                                      "2", "--output", str(tmp_path / "bad.csv")])
+        result = run(["fig1", "--m-trunc", m_trunc, "--tail-mass",
+                      "2", "--output", str(tmp_path / "bad.csv")])
         assert result.exit_code == 2
         assert not (tmp_path / "bad.csv").exists()
 
@@ -332,11 +323,11 @@ def test_rejects_out_of_range_tail_mass(runner, tmp_path):
     ],
     ids=["fig1", "fig2", "fig3"],
 )
-def test_rejects_fixed_cut_below_the_mean_level(runner, tmp_path, args):
+def test_rejects_fixed_cut_below_the_mean_level(tmp_path, args):
     # the highest initial level plus the largest work is the mean final
     # level; a fixed cut below it would write rows that keep no mass
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, args + ["--output", str(out)])
+    result = run(args + ["--output", str(out)])
     assert result.exit_code == 2
     assert "mean final level" in result.output
     assert "--m-trunc 1000" in result.output
@@ -348,15 +339,18 @@ def test_rejects_fixed_cut_below_the_mean_level(runner, tmp_path, args):
     ["fig2", "--t-max", "1"],
     ["fig3", "--t-max", "1", "--n-trunc", "5"],
 ])
-def test_parameters_header_lists_the_declared_options(runner, tmp_path, args):
+def test_parameters_header_lists_the_declared_options(tmp_path, args):
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, args + ["--output", str(out)])
+    result = run(args + ["--output", str(out)])
     assert result.exit_code == 0, result.output
     comments, _, _ = read_csv(out)
     assert comments[0] == f"# qentropy {args[0]}"
     assert comments[1].startswith("# parameters: ")
     header = dict(item.split("=") for item in comments[1].split()[2:])
-    declared = [param.opts[0] for param in main.commands[args[0]].params]
+    help_text = run([args[0], "--help"]).output
+    declared = re.findall(r"^  (--[a-z-]+)", help_text, re.MULTILINE)
+    assert declared[0] == "--help"
+    declared = declared[1:]
     assert declared[-1] == "--output"
     assert ["--" + key for key in header] == declared[:-1]
     assert header[args[-2][2:]] == args[-1]
@@ -387,12 +381,18 @@ def test_cli_runs_without_scipy(tmp_path):
 
 def test_figure_commands_load_only_what_they_run(tmp_path):
     # verify and theorem-demo import their modules when they run, and the
-    # package's names are read on first use
+    # package's names are read on first use; beyond what the interpreter
+    # loads at start (site may load third-party modules of its own), the
+    # figures need the standard library, numpy and the package alone
     script = (
-        "import sys, qentropy.cli\n"
+        "import sys\n"
+        "bare = {m.split('.')[0] for m in sys.modules}\n"
+        "import qentropy.cli\n"
         "for args in (['fig1', '--n-trunc', '3'], ['fig2', '--t-max', '1'],\n"
         "             ['fig3', '--t-max', '1', '--n-trunc', '5']):\n"
-        "    qentropy.cli.main(args=args, standalone_mode=False)\n"
+        "    qentropy.cli.main(args=args)\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} - bare\n"
+        "             - set(sys.stdlib_module_names)))\n"
         "print(sorted(m for m in sys.modules if m.startswith('qentropy.')))\n"
         "print('fractions' in sys.modules)\n"
         "from qentropy import ProbabilityVector, verify\n"
@@ -404,7 +404,8 @@ def test_figure_commands_load_only_what_they_run(tmp_path):
         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    loaded, fractions, names = result.stdout.splitlines()[-3:]
+    third_party, loaded, fractions, names = result.stdout.splitlines()[-4:]
+    assert third_party == str(["numpy", "qentropy"])
     assert loaded == str(["qentropy.classical", "qentropy.cli", "qentropy.quadrature",
                           "qentropy.quantum"])
     assert fractions == "False"  # charlier_direct rounds with int division
@@ -412,47 +413,91 @@ def test_figure_commands_load_only_what_they_run(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["verify", "theorem-demo"])
-def test_rejects_negative_seed(runner, command):
+def test_rejects_negative_seed(command):
     # numpy's generators take only non-negative seeds
-    result = runner.invoke(main, [command, "--seed", "-1"])
+    result = run([command, "--seed", "-1"])
     assert result.exit_code == 2
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+def test_rejects_unusable_output_before_computing(tmp_path, monkeypatch, where):
+    monkeypatch.chdir(tmp_path)
+    output = {"missing-directory": str(tmp_path / "missing" / "out.csv"),
+              "directory": str(tmp_path), "empty": ""}[where]
+    result = run(["fig1", "--output", output])
+    assert result.exit_code == 2
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    assert "--output" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_number_in_any_float_form_is_a_value(tmp_path):
+    # argparse alone reads -1e1 as an option string
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run(["fig2", "--amplitude", "-1e1", "--t-max", "1",
+                "--output", str(spaced)]).exit_code == 0
+    assert run(["fig2", "--amplitude=-1e1", "--t-max", "1",
+                "--output", str(joined)]).exit_code == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["fig1", "--wrk", "3"],
+    ["fig1", "--wo", "3"],
+    ["fig4"],
+    [],
+], ids=["misspelt-option", "abbreviated-option", "unknown-command", "no-command"])
+def test_rejects_unknown_input_in_one_line(args):
+    result = run(args)
+    assert result.exit_code == 2
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+
+
+def test_help_lists_every_option_with_its_default_and_range():
+    text = " ".join(run(["fig3", "--help"]).output.split())
+    listed = dict(re.findall(r"(--[a-z-]+) [A-Z_]+ [^[]*\[default: ([^]]*)\]", text))
+    assert listed == {
+        "--amplitude": "6.0; float", "--beta": "2.0; x>0", "--n-trunc": "100; x>=1",
+        "--t-min": "0.25; x>0", "--t-max": "30.0; float", "--t-step": "0.25; x>0",
+        "--m-trunc": "1000; x>=0", "--tail-mass": "1e-12; 0<x<1",
+        "--output": "fig3.csv; path"}
+
+
 class TestVerify:
-    def test_passes_and_is_deterministic(self, runner):
+    def test_passes_and_is_deterministic(self):
         args = ["verify", "--trials", "60", "--seed", "321"]
-        first = runner.invoke(main, args)
+        first = run(args)
         assert first.exit_code == 0, first.output
         assert first.output.count("PASS") == 12
         assert "FAIL" not in first.output
-        second = runner.invoke(main, args)
+        second = run(args)
         assert second.output == first.output
 
-    def test_rejects_bad_trials(self, runner):
-        assert runner.invoke(main, ["verify", "--trials", "0"]).exit_code == 2
+    def test_rejects_bad_trials(self):
+        assert run(["verify", "--trials", "0"]).exit_code == 2
 
-    def test_exit_one_on_violation(self, runner, monkeypatch):
+    def test_exit_one_on_violation(self, monkeypatch):
         from qentropy import verify as verify_mod
 
         broken = verify_mod.CheckResult("synthetic", False, 1.0, 0.0)
         monkeypatch.setattr(verify_mod, "run_all", lambda seed, trials: [broken])
-        result = runner.invoke(main, ["verify", "--trials", "1"])
+        result = run(["verify", "--trials", "1"])
         assert result.exit_code == 1
         assert "FAIL synthetic" in result.output
 
 
 class TestTheoremDemo:
-    def test_shows_both_orderings(self, runner):
-        result = runner.invoke(main, ["theorem-demo", "--dim", "5", "--seed", "3"])
+    def test_shows_both_orderings(self):
+        result = run(["theorem-demo", "--dim", "5", "--seed", "3"])
         assert result.exit_code == 0
         assert "is_decreasing=True" in result.output
         assert "is_decreasing=False" in result.output
         assert "guaranteed non-negative" in result.output
         assert "positivity reported, not asserted" in result.output
 
-    def test_direct_equals_by_parts_in_output(self, runner):
-        result = runner.invoke(main, ["theorem-demo", "--dim", "2", "--seed", "1"])
+    def test_direct_equals_by_parts_in_output(self):
+        result = run(["theorem-demo", "--dim", "2", "--seed", "1"])
         assert result.exit_code == 0
         for line in result.output.splitlines():
             if line.startswith("entropy change"):
@@ -463,17 +508,16 @@ class TestTheoremDemo:
                     float(parts["by-parts"]), abs=1e-12
                 )
 
-    def test_rejects_small_dim(self, runner):
-        assert runner.invoke(main, ["theorem-demo", "--dim", "1"]).exit_code == 2
+    def test_rejects_small_dim(self):
+        assert run(["theorem-demo", "--dim", "1"]).exit_code == 2
 
-    def test_rejects_dim_above_the_maximum(self, runner):
+    def test_rejects_dim_above_the_maximum(self):
         # one past the bound only: a value the range admits would allocate
-        result = runner.invoke(
-            main, ["theorem-demo", "--dim", str(cli.MAX_DEMO_DIM + 1)])
+        result = run(["theorem-demo", "--dim", str(cli.MAX_DEMO_DIM + 1)])
         assert result.exit_code == 2
         errors = [line for line in result.output.splitlines()
                   if line.startswith("Error:")]
         assert len(errors) == 1 and str(cli.MAX_DEMO_DIM) in errors[0]
         assert "Traceback" not in result.output
-        help_text = runner.invoke(main, ["theorem-demo", "--help"]).output
+        help_text = run(["theorem-demo", "--help"]).output
         assert f"2<=x<={cli.MAX_DEMO_DIM}" in help_text
