@@ -238,34 +238,26 @@ def check_doubly_stochastic(matrix, tol: float) -> TransitionMatrix:
     return TransitionMatrix(m)
 
 
-def random_unistochastic(dim: int, seed) -> TransitionMatrix:
+def random_unistochastic(dim: int, seed, size: int | None = None) -> TransitionMatrix:
     """Random unistochastic matrix: squared entries of an orthogonal matrix.
 
     Draws a matrix of independent standard normals, orthonormalizes its
     columns, and squares entries element-wise.  The result is exactly
     unistochastic up to roundoff.  The orthogonal factor is not
     Haar-distributed (no sign correction is applied), which is
-    sufficient for property testing.  Deterministic for a fixed seed.
-    A sequence of seeds gives a stack, each matrix drawn from its own
-    generator as for that seed alone and the stack orthonormalized in
-    one batched QR.
+    sufficient for property testing.  ``seed`` is an int or a Generator.
+    ``size`` gives a stack, drawn in one call and orthonormalized in one
+    batched QR: the matrices of ``size`` draws in turn.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    seeds = np.asarray(seed)
-    gauss = np.array([np.random.default_rng(int(s)).standard_normal((dim, dim))
-                      for s in seeds.flat]).reshape(seeds.shape + (dim, dim))
-    q, _ = np.linalg.qr(gauss)
+    shape = (dim, dim) if size is None else (size, dim, dim)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(shape))
     return check_doubly_stochastic(q * q, tol=1e-10)
 
 
-def random_decreasing(dim: int, rng) -> ProbabilityVector:
-    """Random decreasing population vector (sorted uniform weights).
-
-    A sequence of generators gives a stack, one vector from each.
-    """
-    stacked = not isinstance(rng, np.random.Generator)
-    draws = [g.uniform(0.0, 1.0, size=dim) for g in (rng if stacked else [rng])]
-    w = np.sort(draws, axis=-1)[..., ::-1]
-    w = w / w.sum(axis=-1, keepdims=True)
-    return ProbabilityVector(w if stacked else w[0])
+def random_decreasing(dim: int, rng, size: int | None = None) -> ProbabilityVector:
+    """Random decreasing population vector (sorted uniform weights); with
+    ``size``, a stack of that many, the same as ``size`` draws in turn."""
+    w = np.sort(rng.uniform(size=dim if size is None else (size, dim)))[..., ::-1]
+    return ProbabilityVector(w / w.sum(axis=-1, keepdims=True))

@@ -516,6 +516,8 @@ def level_entropies(last: int, work: float,
                     policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Row entropies ``sum_m p(n -> m) ln(m + 1/2)`` for n = 0..last,
     reduced over one block of rows cut by ``policy``."""
+    if last < 0:
+        raise ValueError("last must be non-negative")
     p, lengths, _ = _one_work(0, last, work, policy)
     columns = np.arange(p.shape[1])
     return np.where(columns < lengths[:, None], p, 0.0) @ np.log(columns + 0.5)
@@ -698,6 +700,8 @@ def canonical_tail_bound(inv_temperature: float, work, level_cutoff: int):
     """
     if not 0.0 < inv_temperature < math.inf:
         raise ValueError("inverse temperature must be positive and finite")
+    if level_cutoff < 1:
+        raise ValueError("level_cutoff must be >= 1")
     works = _check_work(work)
     bounds = math.exp(-inv_temperature * (level_cutoff + 1)) * np.log1p(
         works / (level_cutoff + 1.5))

@@ -8,6 +8,7 @@ same functions so the command and the suite cannot drift apart.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,65 +51,53 @@ class CheckResult:
         return text
 
 
-def _trial_seeds(seed: int, trials: int) -> np.ndarray:
-    return np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
-
-
 def _stack_size(dim: int) -> int:
-    """Trials of ``dim`` levels reduced in one stacked call: a stack of
-    their matrices holds at most 2**14 entries (128 KB) whatever the
-    trial count, so memory stays flat while the per-call overhead is
-    shared."""
+    """Instances of ``dim`` levels reduced in one stacked call: their
+    matrices hold at most 2**14 entries (128 KB) whatever the trial count,
+    so memory stays flat while the per-call overhead is shared."""
     return max(1, 2**14 // dim**2)
 
 
-def _theorem_reports(seed: int, trials: int):
-    """Yield ``(trial indices, EntropyReport)`` stacks: trial ``i`` has
-    dimension ``_THEOREM_DIMS[i % 4]`` and draws its populations and its
-    matrix from its own seed, so stacking by dimension changes no value."""
-    seeds = _trial_seeds(seed, trials)
-    for first, dim in enumerate(_THEOREM_DIMS):
-        indices = range(first, trials, len(_THEOREM_DIMS))
+def _stacks(seed: int, check: int, counts: dict[int, int]):
+    """Yield ``(generator, dim, size)`` for the stacks of ``counts[dim]``
+    instances of each dimension, one stream per check and dimension."""
+    for dim, count in counts.items():
+        rng = np.random.default_rng([seed, check, dim])
         size = _stack_size(dim)
-        for start in range(0, len(indices), size):
-            chunk = indices[start:start + size]
-            p = random_decreasing(dim, [np.random.default_rng(seeds[i]) for i in chunk])
-            d = random_unistochastic(dim, [int(seeds[i]) ^ 0x5EED for i in chunk])
-            yield chunk, entropy_change(p, evolve_distribution(p, d))
+        for start in range(0, count, size):
+            yield rng, dim, min(size, count - start)
+
+
+def _theorem_reports(seed: int, trials: int):
+    """Yield ``EntropyReport`` stacks: trial ``i`` has dimension
+    ``_THEOREM_DIMS[i % 4]``, decreasing populations and a unistochastic
+    matrix."""
+    counts = Counter(np.resize(_THEOREM_DIMS, trials).tolist())
+    for rng, dim, size in _stacks(seed, 0, counts):
+        p = random_decreasing(dim, rng, size)
+        yield entropy_change(p, evolve_distribution(p, random_unistochastic(dim, rng, size)))
 
 
 def _byparts_reports(seed: int, pairs: int):
-    """Yield ``(pair indices, EntropyReport)`` stacks.  The pairs are
-    drawn one after another from one stream, as the dimension of each is;
-    a dimension's pairs wait until they fill a stack, so at most
-    ``_stack_size(dim)`` of them are held per dimension."""
-    rng = np.random.default_rng(seed)
-    waiting: dict[int, list] = {}
-    for i in range(pairs):
-        dim = int(rng.integers(2, 65))
-        stack = waiting.setdefault(dim, [])
-        stack.append((i, rng.dirichlet(np.ones(dim)), rng.dirichlet(np.ones(dim))))
-        if len(stack) == _stack_size(dim):
-            yield _pair_report(waiting.pop(dim))
-    for stack in waiting.values():
-        yield _pair_report(stack)
-
-
-def _pair_report(stack: list):
-    indices, p, q = zip(*stack)
-    return indices, entropy_change(ProbabilityVector(p), ProbabilityVector(q))
+    """Yield ``EntropyReport`` stacks of unordered population pairs, each
+    pair's dimension drawn from 2..64."""
+    dims = np.random.default_rng(seed).integers(2, 65, size=pairs)
+    for rng, dim, size in _stacks(seed, 1, Counter(dims.tolist())):
+        ones = np.ones(dim)
+        yield entropy_change(ProbabilityVector(rng.dirichlet(ones, size)),
+                             ProbabilityVector(rng.dirichlet(ones, size)))
 
 
 def theorem_positivity(seed: int, trials: int) -> CheckResult:
     """Entropy never drops for decreasing populations under any
     unistochastic evolution; every cumulative gap stays non-negative."""
     worst = math.inf
-    for _, report in _theorem_reports(seed, trials):
+    for report in _theorem_reports(seed, trials):
         worst = min(worst, float(report.delta_direct.min()),
                     float(report.min_cumulative_gap.min()))
     return CheckResult(
         "theorem_positivity", worst >= -1e-12, worst, -1e-12,
-        f"{trials} trials, dims {_THEOREM_DIMS}",
+        f"{trials} trials, dims {', '.join(map(str, _THEOREM_DIMS[:trials]))}",
     )
 
 
@@ -116,7 +105,7 @@ def byparts_identity(seed: int, pairs: int) -> CheckResult:
     """Direct and summation-by-parts entropy changes agree for arbitrary
     (unordered) population pairs."""
     worst = 0.0
-    for _, report in _byparts_reports(seed, pairs):
+    for report in _byparts_reports(seed, pairs):
         gaps = np.abs(report.delta_direct - report.delta_by_parts)
         worst = max(worst, float(gaps.max()))
     return CheckResult(

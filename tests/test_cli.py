@@ -474,6 +474,14 @@ class TestVerify:
         second = run(args)
         assert second.output == first.output
 
+    @pytest.mark.parametrize("trials", [1, 2, 3])
+    def test_few_trials_name_only_the_dimensions_drawn(self, trials):
+        result = run(["verify", "--trials", str(trials)])
+        assert result.exit_code == 0, result.output
+        assert result.output.count("PASS") == 12
+        dims = ", ".join(["2", "8", "16"][:trials])
+        assert f"({trials} trials, dims {dims})\n" in result.output
+
     def test_rejects_bad_trials(self):
         assert run(["verify", "--trials", "0"]).exit_code == 2
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -259,44 +260,53 @@ def assert_same_report(stacked, row, b):
         assert getattr(stacked, name)[b] == getattr(row, name), name
 
 
-def byparts_draws(seed, pairs):
-    """The population pairs of ``verify.byparts_identity``, in draw order."""
-    rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(pairs):
-        dim = int(rng.integers(2, 65))
-        drawn.append((rng.dirichlet(np.ones(dim)), rng.dirichlet(np.ones(dim))))
-    return drawn
+def stack_shapes(monkeypatch, reports):
+    """The ``(size, dim)`` of every stack ``reports`` passes to
+    ``entropy_change``."""
+    shapes = []
+
+    def spy(p, p_final):
+        shapes.append(p.weights.shape)
+        return entropy_change(p, p_final)
+
+    monkeypatch.setattr(verify, "entropy_change", spy)
+    list(reports)
+    return shapes
 
 
 class TestStacks:
     """A stack along the last axis gives every row's 1-d result, bit for bit."""
 
     def test_theorem_stacks_equal_one_dimensional_calls(self):
-        seeds = verify._trial_seeds(5, 40)
-        seen = []
-        for indices, stacked in verify._theorem_reports(5, 40):
-            for b, i in enumerate(indices):
-                dim = verify._THEOREM_DIMS[i % len(verify._THEOREM_DIMS)]
-                p = random_decreasing(dim, np.random.default_rng(seeds[i]))
-                d = random_unistochastic(dim, int(seeds[i]) ^ 0x5EED)
+        counts = {dim: 10 for dim in verify._THEOREM_DIMS}
+        stacks = list(verify._stacks(5, 0, counts))
+        reports = list(verify._theorem_reports(5, 40))
+        assert len(reports) == len(stacks)
+        for (rng, dim, size), stacked in zip(stacks, reports):
+            ps = [random_decreasing(dim, rng) for _ in range(size)]
+            ds = [random_unistochastic(dim, rng) for _ in range(size)]
+            for b, (p, d) in enumerate(zip(ps, ds)):
                 assert_same_report(stacked, entropy_change(p, evolve_distribution(p, d)), b)
-                seen.append(i)
-        assert sorted(seen) == list(range(40))
 
     def test_byparts_stacks_equal_one_dimensional_calls(self):
-        drawn = byparts_draws(8, 200)
-        seen = []
-        for indices, stacked in verify._byparts_reports(8, 200):
-            for b, i in enumerate(indices):
-                p, q = (ProbabilityVector(w) for w in drawn[i])
+        dims = np.random.default_rng(8).integers(2, 65, size=200)
+        stacks = list(verify._stacks(8, 1, Counter(dims.tolist())))
+        reports = list(verify._byparts_reports(8, 200))
+        assert len(reports) == len(stacks)
+        for (rng, dim, size), stacked in zip(stacks, reports):
+            draws = [ProbabilityVector(rng.dirichlet(np.ones(dim))) for _ in range(2 * size)]
+            for b, (p, q) in enumerate(zip(draws[:size], draws[size:])):
                 assert_same_report(stacked, entropy_change(p, q), b)
-                seen.append(i)
-        assert sorted(seen) == list(range(200))
+
+    def test_the_two_checks_draw_from_different_streams(self):
+        [(theorem, _, _)], [(byparts, _, _)] = (
+            list(verify._stacks(5, check, {8: 1})) for check in (0, 1))
+        assert theorem.random() != byparts.random()
 
     def test_stacked_fields_are_frozen_arrays(self):
-        p = random_decreasing(3, [np.random.default_rng(s) for s in (1, 2)])
-        report = entropy_change(p, evolve_distribution(p, random_unistochastic(3, [3, 4])))
+        rng = np.random.default_rng(1)
+        p = random_decreasing(3, rng, 2)
+        report = entropy_change(p, evolve_distribution(p, random_unistochastic(3, rng, 2)))
         assert p.is_decreasing.tolist() == [True, True]
         assert len(p) == 3
         for value in (report.delta_direct, report.min_cumulative_gap, p.weights):
@@ -337,18 +347,23 @@ class TestStacks:
         assert (info.value.axis, info.value.index) == ("entry", (1, 0))
 
     def test_stacked_matrices_are_each_unistochastic_draws(self):
-        stack = random_unistochastic(5, [11, 12, 13])
-        for b, seed in enumerate((11, 12, 13)):
-            assert np.array_equal(stack.entries[b], random_unistochastic(5, seed).entries)
+        stack = random_unistochastic(5, 11, 3)
+        populations = random_decreasing(5, np.random.default_rng(12), 3)
+        matrices, vectors = np.random.default_rng(11), np.random.default_rng(12)
+        for b in range(3):
+            assert np.array_equal(stack.entries[b], random_unistochastic(5, matrices).entries)
+            assert np.array_equal(populations.weights[b],
+                                  random_decreasing(5, vectors).weights)
 
-    def test_stack_memory_does_not_grow_with_trials(self):
+    def test_stack_memory_does_not_grow_with_trials(self, monkeypatch):
         for dim in range(1, 65):
             assert verify._stack_size(dim) * dim**2 <= 2**14
-        drawn = byparts_draws(3, 1500)
-        for indices, _ in verify._byparts_reports(3, 1500):
-            dims = {drawn[i][0].size for i in indices}
-            assert len(dims) == 1
-            assert len(indices) <= verify._stack_size(dims.pop())
-        for indices, _ in verify._theorem_reports(3, 1200):
-            dim = verify._THEOREM_DIMS[indices[0] % len(verify._THEOREM_DIMS)]
-            assert len(indices) <= verify._stack_size(dim)
+        dims = np.random.default_rng(3).integers(2, 65, size=1500)
+        theorem_dims = np.resize(verify._THEOREM_DIMS, 1200)
+        for reports, drawn in ((verify._byparts_reports(3, 1500), dims),
+                               (verify._theorem_reports(3, 1200), theorem_dims)):
+            held = Counter()
+            for size, dim in stack_shapes(monkeypatch, reports):
+                assert size <= verify._stack_size(dim)
+                held[dim] += size
+            assert held == Counter(drawn.tolist())

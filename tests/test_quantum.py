@@ -395,6 +395,12 @@ class TestLevelEntropies:
             expected = microcanonical_stats(level, work, policy).entropy
             assert abs(entropy - expected) <= 1e-14
 
+    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, TruncationPolicy(top=1000)],
+                             ids=["adaptive", "fixed"])
+    def test_rejects_a_negative_last_level(self, policy):
+        with pytest.raises(ValueError, match="last must be non-negative"):
+            level_entropies(-1, 1.0, policy)
+
 
 class TestLogFactorials:
     def test_equals_lgamma_and_survives_growing(self, monkeypatch):
@@ -481,6 +487,11 @@ class TestCanonical:
             canonical_entropy_change(-1.0, 1.0, 10)
         with pytest.raises(ValueError):
             canonical_entropy_change(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("level_cutoff", [-2, 0])
+    def test_tail_bound_rejects_a_cutoff_below_one(self, level_cutoff):
+        with pytest.raises(ValueError, match="level_cutoff must be >= 1"):
+            canonical_tail_bound(2.0, 3.0, level_cutoff)
 
 
 def thermal_terms(beta, work, cutoff, policy):
