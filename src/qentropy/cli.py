@@ -258,7 +258,8 @@ _COMMANDS = {
 
 def main(args=None, prog_name: str = "qentropy") -> None:
     """Run the command in ``args`` (default ``sys.argv[1:]``); bad input exits 2
-    and a row that reaches the hard cap exits 1, each with one ``Error:`` line."""
+    and a ``TruncationError`` exits 1, each with one ``Error:`` line.  Output
+    cut short by a closed pipe (``| head``) exits 1 silently."""
     args = sys.argv[1:] if args is None else list(args)
     if not args or args[0] not in _COMMANDS:
         # --help, or no command or an unknown one: list or reject, and exit
@@ -277,6 +278,11 @@ def main(args=None, prog_name: str = "qentropy") -> None:
     parsed = parser.parse_args(args[1:])
     try:
         run(parsed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would raise again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     except ArgumentTypeError as exc:
         parser.exit(2, f"Error: Invalid value: {exc}\n")
     except quantum.TruncationError as exc:

@@ -102,7 +102,8 @@ _LOG_FACTORIAL = np.zeros(0)
 
 
 class TruncationError(RuntimeError):
-    """:data:`HARD_CAP` was reached before the tail-mass target."""
+    """:data:`HARD_CAP` was reached before the tail-mass target, or a thermal
+    sum fell below half the theorem's floor."""
 
 
 class TruncationWarning(UserWarning):
@@ -392,12 +393,11 @@ def _chunks(rows: list, widths: list):
 
 
 def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
-                    policy: TruncationPolicy, failed: dict | None = None,
-                    log_mass=_UNDERFLOW_LOG):
+                    policy: TruncationPolicy, log_mass=_UNDERFLOW_LOG):
     """Rows first..lasts[i] out of each work ``works[i]``, truncated by
     ``policy``.
 
-    Yields ``(i, p, lengths, captured)`` once per work, in order: ``p``
+    Yields ``(p, lengths, captured)`` once per work, in order: ``p``
     holds the rows up to the last column the work's own sweep reaches,
     each row cut at its length (under a fixed cut, ``top + 1``), with its
     captured mass.  ``p`` is a view that the next item may overwrite.
@@ -420,9 +420,7 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
     could not change past it, and each row's cut column, captured mass,
     and its mass at the top, equal those of a sweep to :data:`HARD_CAP`
     bit for bit.  A row below the target there raises
-    :class:`TruncationError`, with that mass; given a dict ``failed``, the
-    error is stored there under the work's index instead and the work
-    left out.
+    :class:`TruncationError`, with that mass.
     """
     lasts = np.asarray(lasts)
     fixed = policy.top is not None
@@ -458,29 +456,25 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
                         TruncationWarning,
                         stacklevel=3,
                     )
-                yield i, p, np.full(rows[i], policy.top + 1), captured
+                yield p, np.full(rows[i], policy.top + 1), captured
                 continue
             cumulative = np.cumsum(p, axis=1)
             missed = cumulative[:, -1] < target
-            if not missed.any():
-                lengths = np.sum(cumulative < target, axis=1) + 1
-                yield i, p, lengths, cumulative[np.arange(rows[i]), lengths - 1]
-                continue
-            short = int(missed.argmax())
-            error = TruncationError(
-                f"mass {cumulative[short, -1]:.15f} below target {target:.15f} "
-                f"at the hard cap {HARD_CAP} (level={first + short}, "
-                f"work={listed[i]})"
-            )
-            if failed is None:
-                raise error
-            failed[i] = error
+            if missed.any():
+                short = int(missed.argmax())
+                raise TruncationError(
+                    f"mass {cumulative[short, -1]:.15f} below target {target:.15f} "
+                    f"at the hard cap {HARD_CAP} (level={first + short}, "
+                    f"work={listed[i]})"
+                )
+            lengths = np.sum(cumulative < target, axis=1) + 1
+            yield p, lengths, cumulative[np.arange(rows[i]), lengths - 1]
 
 
 def _one_work(first: int, last: int, work, policy: TruncationPolicy):
     """The ``(p, lengths, captured)`` of :func:`_truncated_rows` for one work."""
     works = _check_work(work).reshape(1)
-    [(_, *rows)] = _truncated_rows(first, np.array([last]), works, policy)
+    [rows] = _truncated_rows(first, np.array([last]), works, policy)
     return rows
 
 
@@ -524,11 +518,11 @@ def level_entropies(last: int, work: float,
 
 
 def _level_gains(lasts: np.ndarray, works: np.ndarray, policy: TruncationPolicy,
-                 failed: dict, log_mass=_UNDERFLOW_LOG) -> np.ndarray:
+                 log_mass=_UNDERFLOW_LOG) -> np.ndarray:
     """Entropy gains of the rows n = 0..lasts[i] of each work: the cut
     row's ``sum_m p(n -> m) ln(m + 1/2)`` less ``ln(n + 1/2)``, zero past
-    each work's last row; works that fail are stored in ``failed``, and
-    fixed rows are swept to ``log_mass`` (see :func:`_truncated_rows`).
+    each work's last row; fixed rows are swept to ``log_mass`` (see
+    :func:`_truncated_rows`).
 
     Each entry adds ``p ln((m + 1/2)/(n + 1/2))``, exactly 0 at m = n,
     and an entry past an adaptive cut, which the cut row's sum leaves
@@ -540,7 +534,8 @@ def _level_gains(lasts: np.ndarray, works: np.ndarray, policy: TruncationPolicy,
     """
     gains = np.zeros((works.size, int(lasts.max()) + 1))
     log_levels = np.log(np.arange((policy.top or HARD_CAP) + 1) + 0.5)
-    for i, p, lengths, _ in _truncated_rows(0, lasts, works, policy, failed, log_mass):
+    for i, (p, lengths, _) in enumerate(
+            _truncated_rows(0, lasts, works, policy, log_mass)):
         rows, width = p.shape
         ratios = np.where(np.arange(width) < lengths[:, None], log_levels[:width], 0.0)
         ratios -= log_levels[:rows, None]
@@ -575,10 +570,10 @@ def canonical_sum(inv_temperature: float, work, level_cutoff: int,
     ``g_0 + ... + g_n >= 0``, and by Abel summation every partial sum is
     at least ``(1-q)**2 g_0 >= (1-q)**2 (1 - e^-w) ln 3``, q = e^-beta.
     Each work's rows are swept once, to the first level whose tail is at
-    most ``2**-55`` of that floor (the factor 2 absorbs rounding).  A
-    work whose computed sum still misses the rule there, its rows' own
-    error being over half the floor (adaptive work 1e-20 at beta 2),
-    sums every level in one more sweep.
+    most ``2**-55`` of that floor (the factor 2 absorbs rounding).  A sum
+    below half the floor raises :class:`TruncationError`: its rows' own
+    error is then over half the floor (adaptive work 1e-20 at beta 2),
+    and a sum that misses the rule at that level is always such a sum.
 
     Under a fixed top the floor also ends each row's sweep, at the
     column past which Laguerre's bound leaves at most ``2**-56 floor /
@@ -594,9 +589,10 @@ def canonical_sum(inv_temperature: float, work, level_cutoff: int,
     A column is sorted by work, and each sweep takes consecutive works
     in chunks (:func:`_truncated_rows`).  Every work gets the value,
     last level, warning or error it would get alone; where several works
-    raise, the error is the first one's in the column's order.  The
-    per-work tables of the rule hold at most :data:`_CHUNK_ENTRIES`
-    entries, so longer columns go in groups.
+    raise, the error is the first one met, so it does not depend on the
+    column's order: works go in sorted order, and a group's rows are
+    checked before its sums.  The per-work tables of the rule hold at
+    most :data:`_CHUNK_ENTRIES` entries, so longer columns go in groups.
 
     Rows are left out only where Laguerre's bound on the mass along row
     level_cutoff (:func:`_column_top`) shows that none of them has the
@@ -618,26 +614,20 @@ def canonical_sum(inv_temperature: float, work, level_cutoff: int,
         raise ValueError(f"level_cutoff {level_cutoff} is above the top {policy.top}")
     flat = works.reshape(-1)
     values, last_levels = np.zeros(flat.size), np.zeros(flat.size, dtype=int)
-    failed = {}
     order = np.argsort(flat, kind="stable")
     size = max(1, _CHUNK_ENTRIES // (level_cutoff + 1))
     for start in range(0, order.size, size):
         group = order[start : start + size]
-        group_failed = {}
         values[group], last_levels[group] = _thermal_sums(
-            inv_temperature, flat[group], level_cutoff, policy, group_failed)
-        failed.update((int(group[k]), error) for k, error in group_failed.items())
-    if failed:
-        raise failed[min(failed)]
+            inv_temperature, flat[group], level_cutoff, policy)
     if works.ndim == 0:
         return CanonicalSum(float(values[0]), int(last_levels[0]))
     return CanonicalSum(values, last_levels)
 
 
 def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
-                  policy: TruncationPolicy, failed: dict):
-    """Values and last levels of :func:`canonical_sum` for a group of works;
-    works that fail are stored in ``failed`` by their index."""
+                  policy: TruncationPolicy):
+    """Values and last levels of :func:`canonical_sum` for a group of works."""
     if policy.top is None:
         top, log_level = HARD_CAP - 1, math.log(policy.tail_mass)
     else:
@@ -662,27 +652,20 @@ def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
                               np.log(2.0**-56 * floor / math.log(2.0 * top + 1.0)))
     lasts = np.where(may_cut, np.argmax(tails <= 2.0**-55 * floor[:, None], axis=1),
                      level_cutoff)
-    values, last_levels = np.zeros(works.size), np.full(works.size, level_cutoff)
-    active = np.arange(works.size)
-    while active.size:  # at most twice: the second sweep is to level_cutoff
-        stage_failed = {}
-        gains = _level_gains(lasts[active], works[active], policy, stage_failed,
-                             log_mass[active])
-        failed.update((int(active[k]), error) for k, error in stage_failed.items())
-        partial = np.cumsum(weights[: gains.shape[1]] * gains, axis=1)
-        own = levels[: gains.shape[1]] <= lasts[active, None]
-        met = own & (tails[active, : gains.shape[1]] <= 2.0**-54 * np.abs(partial))
-        hit = may_cut[active] & met.any(axis=1)
-        ends = np.where(hit, met.argmax(axis=1), lasts[active])
-        retry = ~hit & (lasts[active] < level_cutoff)
-        retry[list(stage_failed)] = False
-        for k in np.flatnonzero(~retry).tolist():
-            end = ends[k] + 1
-            values[active[k]] = weights[:end] @ gains[k, :end]
-            last_levels[active[k]] = ends[k]
-        active = active[retry]
-        lasts[active] = level_cutoff
-    return values, last_levels
+    gains = _level_gains(lasts, works, policy, log_mass)
+    partial = np.cumsum(weights[: gains.shape[1]] * gains, axis=1)
+    met = ((levels[: gains.shape[1]] <= lasts[:, None])
+           & (tails[:, : gains.shape[1]] <= 2.0**-54 * np.abs(partial)))
+    ends = np.where(may_cut & met.any(axis=1), met.argmax(axis=1), lasts)
+    values = np.array([weights[: end + 1] @ gains[k, : end + 1]
+                       for k, end in enumerate(ends.tolist())])
+    # the rule misses at lasts only where |partial| < floor / 2, so this
+    # one check raises there too
+    for work, value, bound in zip(works.tolist(), values.tolist(), floor.tolist()):
+        if value < 0.5 * bound:
+            raise TruncationError(f"sum {value:.3e} below half the theorem's floor "
+                                  f"{bound:.3e} (work={work})")
+    return values, ends
 
 
 def canonical_entropy_change(inv_temperature: float, work, level_cutoff: int,

@@ -412,6 +412,22 @@ def test_figure_commands_load_only_what_they_run(tmp_path):
     assert names == "qentropy.majorization qentropy.verify"
 
 
+def test_closed_pipe_ends_quietly(tmp_path):
+    # 2048 levels print about 200 kB, more than a pipe holds, so the
+    # command is still writing when the reader closes the pipe
+    src = str(Path(qentropy.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "qentropy.cli", "theorem-demo", "--dim", "2048"],
+        cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as process:
+        assert process.stdout.readline().startswith(b"--- decreasing populations")
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert process.wait(timeout=300) == 1
+    assert stderr == b""
+
+
 @pytest.mark.parametrize("command", ["verify", "theorem-demo"])
 def test_rejects_negative_seed(command):
     # numpy's generators take only non-negative seeds

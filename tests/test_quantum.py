@@ -494,10 +494,19 @@ class TestCanonical:
             canonical_tail_bound(2.0, 3.0, level_cutoff)
 
 
+def thermal_floor(beta, work):
+    """The theorem's floor (1-q)^2 (1 - e^-w) ln 3 on every partial sum."""
+    return (1.0 - math.exp(-beta)) ** 2 * -math.expm1(-work) * math.log(3.0)
+
+
+#: (beta, work, cutoff) whose adaptive sums fall below half the floor.
+BELOW_HALF_THE_FLOOR = [(1.0, 1e-13, 86), (2.0, 8.554672535565054e-14, 40)]
+
+
 def thermal_terms(beta, work, cutoff, policy):
     """Weighted gains of levels 0..cutoff, every level swept in one block."""
     levels = np.arange(cutoff + 1)
-    [gains] = quantum._level_gains(np.array([cutoff]), np.array([work]), policy, None)
+    [gains] = quantum._level_gains(np.array([cutoff]), np.array([work]), policy)
     return (1.0 - math.exp(-beta)) * np.exp(-beta * levels) * gains
 
 
@@ -584,17 +593,31 @@ class TestThermalRowCut:
             if beta == 0.1:
                 assert last == 100, work
 
-    def test_rows_that_miss_the_floor_sweep_every_level(self, monkeypatch):
+    def test_rows_that_miss_the_floor_raise_after_one_sweep(self, monkeypatch):
         # at adaptive work 1e-20 the rows' own error exceeds half the floor:
-        # the partial sum misses the rule at the floor's level, so the work
-        # is swept again to level_cutoff, whose rows' rounding raises
+        # the partial sum misses the rule at the floor's level, so it is
+        # below half the floor and raises without a second sweep
         sweeps = self.sweeps(monkeypatch)
-        with pytest.raises(TruncationError) as error:
+        with pytest.raises(TruncationError, match=r"below half the theorem's floor "
+                           r"\d\.\d{3}e-21 \(work=1e-20\)$"):
             canonical_sum(2.0, 1e-20, 100)
-        assert sweeps == {1e-20: [42, 100]}
-        assert str(error.value) == (
-            "mass 0.999999999998181 below target 0.999999999999000 at the hard cap "
-            "5000 (level=51, work=1e-20)")
+        assert sweeps == {1e-20: [42]}
+
+    @pytest.mark.parametrize("beta, work, cutoff", BELOW_HALF_THE_FLOOR)
+    def test_sum_below_half_the_floor_raises(self, beta, work, cutoff):
+        # the adaptive rows' own rounding takes these sums below half the
+        # floor: at beta 1 to -7.0e-14, and at beta 2 to 2.57e-14 after the
+        # rule was missed at the floor's level
+        with pytest.raises(TruncationError) as error:
+            canonical_sum(beta, work, cutoff)
+        match = re.fullmatch(r"sum (\S+) below half the theorem's floor (\S+) "
+                             r"\(work=(\S+)\)", str(error.value))
+        value, floor, named = (float(group) for group in match.groups())
+        assert named == work
+        assert floor == float(f"{thermal_floor(beta, work):.3e}")
+        assert value < 0.5 * floor
+        fixed = canonical_sum(beta, work, cutoff, TruncationPolicy(top=1000)).value
+        assert fixed >= thermal_floor(beta, work)
 
     def test_fixed_rows_end_short_of_the_underflow(self, monkeypatch):
         # fig3's default column: a fixed row needs no entry past the column
@@ -705,26 +728,35 @@ class TestColumn:
     @pytest.mark.parametrize("works", [[1.0, 1e-15, 1e-20, 5.0], [1.0, 1e-20, 1e-15, 5.0]])
     def test_error_names_the_first_failing_work(self, works):
         # at beta 0.1 both tiny works sum every level and raise; sorted
-        # by work the column meets 1e-20 first
+        # by work the column meets 1e-20 first, in either order
         with pytest.raises(TruncationError) as first:
-            canonical_sum(0.1, works[1], 100)
+            canonical_sum(0.1, 1e-20, 100)
         with pytest.raises(TruncationError) as column:
             canonical_sum(0.1, np.array(works), 100)
         assert str(column.value) == str(first.value)
 
+    @pytest.mark.parametrize("beta, work, cutoff", BELOW_HALF_THE_FLOOR)
+    def test_sum_below_half_the_floor_raises_in_a_column(self, beta, work, cutoff):
+        with pytest.raises(TruncationError) as alone:
+            canonical_sum(beta, work, cutoff)
+        column = np.insert(self.WORKS, 60, work)
+        for works in (column, column[::-1]):
+            with pytest.raises(TruncationError) as error:
+                canonical_sum(beta, works, cutoff)
+            assert str(error.value) == str(alone.value)
+
     def test_rows_past_a_work_are_not_judged(self):
         # work 1e-8 to row 30 is swept with a chunk-mate to row 100, the
         # same work, whose rows of level 60 and more fall below the
-        # adaptive target by rounding; rows 0..30 pass
-        failed, yielded = {}, {}
+        # adaptive target by rounding; rows 0..30 pass and are yielded
+        # before the chunk-mate raises
         works = np.array([1e-8, 1e-8])
-        for i, *rows in quantum._truncated_rows(0, np.array([30, 100]), works,
-                                                DEFAULT_POLICY, failed):
-            yielded[i] = [np.copy(a) for a in rows]
-        assert list(yielded) == [0] and list(failed) == [1]
-        [(_, *alone)] = quantum._truncated_rows(0, np.array([30]), works[:1],
-                                                DEFAULT_POLICY)
-        for got, want in zip(yielded[0], alone):
+        rows = quantum._truncated_rows(0, np.array([30, 100]), works, DEFAULT_POLICY)
+        yielded = [np.copy(a) for a in next(rows)]
+        with pytest.raises(TruncationError, match=r"\(level=\d+, work=1e-08\)$"):
+            next(rows)
+        [alone] = quantum._truncated_rows(0, np.array([30]), works[:1], DEFAULT_POLICY)
+        for got, want in zip(yielded, alone):
             assert np.array_equal(got, want)
 
 
