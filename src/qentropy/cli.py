@@ -13,9 +13,9 @@ type.  Bad input exits 2 with one ``Error:`` line before anything runs: so do a
 fixed cut (``--m-trunc`` > 0) below the mean final level, the highest initial
 level plus the largest work, a grid above :data:`MAX_DURATIONS` durations and an
 ``--output`` that cannot be written.  CSV files are UTF-8 with ``#``-prefixed
-header comments naming the command and every option but ``--output``, a
-column-name row, then data rows with 12 significant digits; identical inputs
-and seeds give byte-identical files.
+header comments naming the command, every option but ``--output`` and, for an
+adaptive cut, :data:`quantum.TAIL_MASS`, a column-name row, then data rows with
+12 significant digits; identical inputs and seeds give byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from . import classical, quantum
 MAX_DURATIONS = 1_000_000
 #: Largest theorem-demo dim: a 32 MiB Gaussian, about 210 MB peak RSS.
 MAX_DEMO_DIM = 2048
+#: Most verify trials: the check lists one dimension per trial up front.
+MAX_TRIALS = 1_000_000
 
 
 def _number(kind, low=None, high=None, open_low=False, open_high=False):
@@ -91,6 +93,9 @@ def _write_csv(args, notes: list[str], columns: list[str], rows) -> None:
     """Write ``args.output``, headed by the command and its options but ``--output``."""
     params = " ".join(f"{flag[2:]}={_fmt(getattr(args, flag[2:].replace('-', '_')))}"
                       for flag, *_ in _COMMANDS[args.command][1] if flag != "--output")
+    if not args.m_trunc:
+        notes = [f"adaptive truncation: each row keeps all but quantum.TAIL_MASS = "
+                 f"{quantum.TAIL_MASS:g} of its mass", *notes]
     lines = [f"# qentropy {args.command}", f"# parameters: {params}"]
     lines += [f"# note: {note}" for note in notes]
     lines.append(",".join(columns))
@@ -100,9 +105,10 @@ def _write_csv(args, notes: list[str], columns: list[str], rows) -> None:
     print(f"wrote {len(rows)} rows to {args.output}")
 
 
-def _truncation(args, level: int, work: float) -> quantum.TruncationPolicy:
-    """Fixed cut at ``--m-trunc`` > 0, else adaptive; either must reach
-    ``level``, and a fixed cut also the mean final level ``level + work``."""
+def _truncation(args, level: int, work: float) -> int | None:
+    """The top level of a fixed cut at ``--m-trunc`` > 0, else None for an
+    adaptive one; either must reach ``level``, and a fixed cut also the mean
+    final level ``level + work``."""
     top = args.m_trunc or quantum.HARD_CAP
     if level > top:
         raise ArgumentTypeError(f"initial level {level} is above the top level {top} "
@@ -110,12 +116,13 @@ def _truncation(args, level: int, work: float) -> quantum.TruncationPolicy:
     if args.m_trunc and level + work > args.m_trunc:
         raise ArgumentTypeError(f"mean final level {level} + work {work:g} is above "
                                 f"--m-trunc {args.m_trunc}; the rows would lose their mass")
-    return quantum.TruncationPolicy(tail_mass=args.tail_mass, top=args.m_trunc or None)
+    return args.m_trunc or None
 
 
 def _scan(args, level: int):
-    """fig2's and fig3's durations, their works and the truncation policy,
-    checked at ``level``, the highest initial level, and the largest work."""
+    """fig2's and fig3's durations, their works and the top level (None:
+    adaptive), checked at ``level``, the highest initial level, and the
+    largest work."""
     if args.t_max < args.t_min:
         raise ArgumentTypeError("--t-max must be >= --t-min")
     steps = (args.t_max - args.t_min) / args.t_step + 1e-9
@@ -136,8 +143,9 @@ _SCAN_COLUMNS = ["switching_time", "work", "classical_delta_entropy",
 
 def _fig1(args) -> None:
     """Microcanonical entropy after the drive versus initial level."""
-    policy = _truncation(args, args.n_trunc, args.work)
-    entropies = quantum.level_entropies(args.n_trunc, args.work, policy).tolist()
+    top = _truncation(args, args.n_trunc, args.work)
+    [gains] = quantum.level_gains([args.n_trunc], [args.work], top)
+    entropies = (gains + np.log(np.arange(args.n_trunc + 1) + 0.5)).tolist()
     rows = [(level, classical.microcanonical_stats(level + 0.5, args.work).log_mean,
              entropies[level]) for level in range(args.n_trunc + 1)]
     _write_csv(args, ["classical column is ln(max(level + 1/2, work)); quantum "
@@ -147,11 +155,11 @@ def _fig1(args) -> None:
 
 def _fig2(args) -> None:
     """Microcanonical entropy change versus switching time."""
-    durations, works, policy = _scan(args, args.level)
+    durations, works, top = _scan(args, args.level)
     start = math.log(args.level + 0.5)
     rows = [(duration, work,
              classical.microcanonical_stats(args.level + 0.5, work).log_mean - start,
-             quantum.microcanonical_stats(args.level, work, policy).entropy - start)
+             quantum.microcanonical_stats(args.level, work, top).entropy - start)
             for duration, work in zip(durations.tolist(), works.tolist())]
     _write_csv(args, ["classical change is exactly zero wherever the work stays "
                       "below the initial volume level + 1/2"], _SCAN_COLUMNS, rows)
@@ -159,8 +167,8 @@ def _fig2(args) -> None:
 
 def _fig3(args) -> None:
     """Canonical entropy change versus switching time."""
-    durations, works, policy = _scan(args, args.n_trunc)
-    total = quantum.canonical_sum(args.beta, works, args.n_trunc, policy)
+    durations, works, top = _scan(args, args.n_trunc)
+    total = quantum.canonical_sum(args.beta, works, args.n_trunc, top)
     rows = [(duration, work, classical.canonical_entropy_change(args.beta, work), value)
             for duration, work, value in zip(durations.tolist(), works.tolist(),
                                              total.value.tolist())]
@@ -215,12 +223,11 @@ def _theorem_demo(args) -> None:
 
 
 def _figure(name: str, *options) -> list[tuple]:
-    """A figure's own ``options``, then the truncation options and ``--output``."""
+    """A figure's own ``options``, then ``--m-trunc`` and ``--output``."""
     return [*options,
             ("--m-trunc", _number(int, 0), 1000,
-             "Fixed top final level of every row (0 = adaptive)."),
-            ("--tail-mass", _number(float, 0, 1, True, True), 1e-12,
-             "Mass a row may leave out when --m-trunc is 0."),
+             "Fixed top final level of every row (0 = adaptive: each row keeps "
+             f"all but {quantum.TAIL_MASS:g} of its mass)."),
             ("--output", _path, f"{name}.csv", "CSV file to write.")]
 
 
@@ -248,7 +255,7 @@ _COMMANDS = {
                              "change the last bit."), *_DURATIONS)),
     "verify": (_verify, [
         ("--seed", _number(int, 0), 20608, "Seed of the random trials."),
-        ("--trials", _number(int, 1), 1000,
+        ("--trials", _number(int, 1, MAX_TRIALS), 1000,
          "Random (population, matrix) pairs for the theorem check.")]),
     "theorem-demo": (_theorem_demo, [
         ("--dim", _number(int, 2, MAX_DEMO_DIM), 8, "Levels of the random instance."),

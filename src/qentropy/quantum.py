@@ -27,13 +27,13 @@ diagonal of every later row.  The sweep is elementwise in the work
 too, so a 1-d array of works is swept in one pass, one block per work,
 each the same bit for bit as swept alone.  A single row, or a single
 entry (:func:`transition_probability`), is a one-row block;
-:func:`level_entropies` reduces over the block of every initial level,
-and :func:`canonical_sum` over one such block per work of a whole
-duration column, swept in chunks of works whose size is derived from
-the block shape: at most :data:`_CHUNK_ENTRIES` entries, 1 MB, at the
-chunk's largest last row and swept column.  A canonical gain is the row
-sum of ``p ln((m + 1/2)/(n + 1/2))``, so a weak drive's gain is not the
-difference of two sums of order ``ln(n + 1/2)``.
+:func:`level_gains` reduces over the block of every initial level of
+one or more works, figure 1's in one call and :func:`canonical_sum`'s
+for a whole duration column, swept in chunks of works whose size is
+derived from the block shape: at most :data:`_CHUNK_ENTRIES` entries,
+1 MB, at the chunk's largest last row and swept column.  A gain is the
+row sum of ``p ln((m + 1/2)/(n + 1/2))``, so a weak drive's gain is not
+the difference of two sums of order ``ln(n + 1/2)``.
 
 Every column cut rests on one bound.  Laguerre's inequality
 ``|L_n^(d)(w)| <= C(m, n) e^(w/2)``, d = m - n, gives ``ln p(n -> m) <=
@@ -57,10 +57,11 @@ last level shows that no level left out would have lost the mass that
 raises :class:`TruncationWarning` or :class:`TruncationError`; a row's
 own rounding is not covered (see :func:`canonical_sum`).
 
-Every sum over levels is truncated by one :class:`TruncationPolicy`:
-adaptively by a tail-mass target, never past :data:`HARD_CAP`, or at a
-fixed top level for figure data whose source states an explicit
-truncation.
+Every sum over levels is truncated by one argument, ``top``: an integer
+cuts every row at that level, for figure data whose source states an
+explicit truncation, and reports the captured mass as it is; None cuts
+each row adaptively, where it keeps all but :data:`TAIL_MASS` of its
+mass, never past :data:`HARD_CAP`.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ _RESCALE_LO = 1e-120
 
 #: Highest level an adaptive row may reach before :class:`TruncationError`.
 HARD_CAP = 5000
+
+#: Mass an adaptive row (``top=None``) may leave out.
+TAIL_MASS = 1e-12
 
 #: Largest mass a row cut at a fixed top may leave out before
 #: :class:`TruncationWarning` is raised.
@@ -102,40 +106,12 @@ _LOG_FACTORIAL = np.zeros(0)
 
 
 class TruncationError(RuntimeError):
-    """:data:`HARD_CAP` was reached before the tail-mass target, or a thermal
-    sum fell below half the theorem's floor."""
+    """An adaptive row reached :data:`HARD_CAP` leaving out more than
+    :data:`TAIL_MASS`, or a thermal sum fell below half the theorem's floor."""
 
 
 class TruncationWarning(UserWarning):
     """A row cut at a fixed top level left out noticeable mass."""
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Where every level sum stops.
-
-    By default a row is extended until its mass reaches
-    ``1 - tail_mass``; reaching :data:`HARD_CAP` first raises
-    :class:`TruncationError`.  It is swept only to the column past which
-    Laguerre's bound leaves at most 2**-56 of mass, where its sums stop
-    moving, so it is cut, kept or raised as if swept to the cap.  An
-    integer ``top`` instead cuts every row at level ``top``, leaving
-    ``tail_mass`` unused, and reports the captured mass as-is, with a
-    :class:`TruncationWarning` when a row leaves out more than
-    :data:`MASS_DEFICIT_TOL`.
-    """
-
-    tail_mass: float = 1e-12
-    top: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.tail_mass < 1.0:
-            raise ValueError("tail_mass must lie in (0, 1)")
-        if self.top is not None and self.top < 0:
-            raise ValueError("top must be >= 0")
-
-
-DEFAULT_POLICY = TruncationPolicy()
 
 
 @dataclass(frozen=True)
@@ -393,9 +369,9 @@ def _chunks(rows: list, widths: list):
 
 
 def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
-                    policy: TruncationPolicy, log_mass=_UNDERFLOW_LOG):
-    """Rows first..lasts[i] out of each work ``works[i]``, truncated by
-    ``policy``.
+                    top: int | None, log_mass=_UNDERFLOW_LOG):
+    """Rows first..lasts[i] out of each work ``works[i]``, cut at the level
+    ``top``, or adaptively where it is None.
 
     Yields ``(p, lengths, captured)`` once per work, in order: ``p``
     holds the rows up to the last column the work's own sweep reaches,
@@ -419,21 +395,21 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
     reaches about 1 by that column; so ``np.cumsum``'s sequential sums
     could not change past it, and each row's cut column, captured mass,
     and its mass at the top, equal those of a sweep to :data:`HARD_CAP`
-    bit for bit.  A row below the target there raises
-    :class:`TruncationError`, with that mass.
+    bit for bit.  A row that leaves out more than :data:`TAIL_MASS` there
+    raises :class:`TruncationError`, with the mass it keeps.
     """
     lasts = np.asarray(lasts)
-    fixed = policy.top is not None
+    fixed = top is not None
     if fixed:
-        if not 0 <= first <= lasts.min() <= lasts.max() <= policy.top:
+        if not 0 <= first <= lasts.min() <= lasts.max() <= top:
             raise ValueError(f"need 0 <= first <= last <= top, got {first}, "
-                             f"{lasts.max()}, {policy.top}")
-        stops = _column_top(lasts, works, policy.top, log_mass)
+                             f"{lasts.max()}, {top}")
+        stops = _column_top(lasts, works, top, log_mass)
     else:
         if HARD_CAP < lasts.max():
             raise TruncationError(f"hard cap {HARD_CAP} is below level {lasts.max()}")
         stops = _column_top(lasts, works, HARD_CAP, _ABSORBED_LOG)
-    target = 1.0 - policy.tail_mass
+    target = 1.0 - TAIL_MASS
     listed = works.tolist()
     rows, widths = (lasts - first + 1).tolist(), (stops + 1).tolist()
     chunks = list(_chunks(rows, widths))
@@ -451,12 +427,12 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
                 if 1.0 - captured[short] > MASS_DEFICIT_TOL:
                     warnings.warn(
                         f"row of level {first + short} keeps mass "
-                        f"{captured[short]:.15f} at the fixed top {policy.top} "
+                        f"{captured[short]:.15f} at the fixed top {top} "
                         f"(work={listed[i]}); raise the top",
                         TruncationWarning,
                         stacklevel=3,
                     )
-                yield p, np.full(rows[i], policy.top + 1), captured
+                yield p, np.full(rows[i], top + 1), captured
                 continue
             cumulative = np.cumsum(p, axis=1)
             missed = cumulative[:, -1] < target
@@ -471,26 +447,19 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
             yield p, lengths, cumulative[np.arange(rows[i]), lengths - 1]
 
 
-def _one_work(first: int, last: int, work, policy: TruncationPolicy):
-    """The ``(p, lengths, captured)`` of :func:`_truncated_rows` for one work."""
-    works = _check_work(work).reshape(1)
-    [rows] = _truncated_rows(first, np.array([last]), works, policy)
-    return rows
-
-
-def transition_row(level: int, work: float,
-                   policy: TruncationPolicy = DEFAULT_POLICY) -> TransitionRow:
-    """Row of transition probabilities out of ``level``, cut by ``policy``."""
+def transition_row(level: int, work: float, top: int | None = None) -> TransitionRow:
+    """Row of transition probabilities out of ``level``, cut at ``top``, or
+    adaptively where it is None."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    p, lengths, captured = _one_work(level, level, work, policy)
+    [(p, lengths, captured)] = _truncated_rows(
+        level, np.array([level]), _check_work(work).reshape(1), top)
     row = np.zeros(lengths[0])
     row[: p.shape[1]] = p[0, : row.size]
     return TransitionRow(level, work, row, float(captured[0]))
 
 
-def microcanonical_stats(level: int, work: float,
-                         policy: TruncationPolicy = DEFAULT_POLICY) -> QuantumStats:
+def microcanonical_stats(level: int, work: float, top: int | None = None) -> QuantumStats:
     """Mean, variance and entropy of the row out of a single level.
 
     The mean and variance reproduce the closed forms ``level + work``
@@ -498,7 +467,7 @@ def microcanonical_stats(level: int, work: float,
     ``p_m ln(m + 1/2)``.  An undriven oscillator returns exactly
     ``(level, 0, ln(level + 1/2))``.
     """
-    p = transition_row(level, work, policy).probabilities
+    p = transition_row(level, work, top).probabilities
     m = np.arange(p.size)
     mean = float(np.dot(m, p))
     variance = float(np.dot((m - mean) ** 2, p))
@@ -506,22 +475,12 @@ def microcanonical_stats(level: int, work: float,
     return QuantumStats(mean, variance, entropy)
 
 
-def level_entropies(last: int, work: float,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Row entropies ``sum_m p(n -> m) ln(m + 1/2)`` for n = 0..last,
-    reduced over one block of rows cut by ``policy``."""
-    if last < 0:
-        raise ValueError("last must be non-negative")
-    p, lengths, _ = _one_work(0, last, work, policy)
-    columns = np.arange(p.shape[1])
-    return np.where(columns < lengths[:, None], p, 0.0) @ np.log(columns + 0.5)
-
-
-def _level_gains(lasts: np.ndarray, works: np.ndarray, policy: TruncationPolicy,
-                 log_mass=_UNDERFLOW_LOG) -> np.ndarray:
-    """Entropy gains of the rows n = 0..lasts[i] of each work: the cut
-    row's ``sum_m p(n -> m) ln(m + 1/2)`` less ``ln(n + 1/2)``, zero past
-    each work's last row; fixed rows are swept to ``log_mass`` (see
+def level_gains(lasts, works, top: int | None = None,
+                log_mass=_UNDERFLOW_LOG) -> np.ndarray:
+    """Entropy gains of the rows n = 0..lasts[i] out of each work
+    ``works[i]``: the row's ``sum_m p(n -> m) ln(m + 1/2)``, cut at
+    ``top`` or adaptively, less ``ln(n + 1/2)``, zero past each work's
+    last row; fixed rows are swept to ``log_mass`` (see
     :func:`_truncated_rows`).
 
     Each entry adds ``p ln((m + 1/2)/(n + 1/2))``, exactly 0 at m = n,
@@ -532,10 +491,16 @@ def _level_gains(lasts: np.ndarray, works: np.ndarray, policy: TruncationPolicy,
     swept top; the ones past it, at most 2**-56 of mass, would add at
     most ``2**-56 ln(n + 1/2)``.
     """
+    lasts, works = np.asarray(lasts), _check_work(works)
+    if lasts.ndim != 1 or lasts.shape != works.shape:
+        raise ValueError(f"need one last level per work, got shapes {lasts.shape} "
+                         f"and {works.shape}")
+    if lasts.min() < 0:
+        raise ValueError("last must be non-negative")
     gains = np.zeros((works.size, int(lasts.max()) + 1))
-    log_levels = np.log(np.arange((policy.top or HARD_CAP) + 1) + 0.5)
+    log_levels = np.log(np.arange((top or HARD_CAP) + 1) + 0.5)
     for i, (p, lengths, _) in enumerate(
-            _truncated_rows(0, lasts, works, policy, log_mass)):
+            _truncated_rows(0, lasts, works, top, log_mass)):
         rows, width = p.shape
         ratios = np.where(np.arange(width) < lengths[:, None], log_levels[:width], 0.0)
         ratios -= log_levels[:rows, None]
@@ -549,7 +514,7 @@ class CanonicalSum(NamedTuple):
 
 
 def canonical_sum(inv_temperature: float, work, level_cutoff: int,
-                  policy: TruncationPolicy = DEFAULT_POLICY) -> CanonicalSum:
+                  top: int | None = None) -> CanonicalSum:
     """Entropy change of a thermal level ensemble after the drive, and the
     last level whose gain it sums; for a 1-d array of works, both for
     every work of the column, as arrays.
@@ -598,7 +563,7 @@ def canonical_sum(inv_temperature: float, work, level_cutoff: int,
     level_cutoff (:func:`_column_top`) shows that none of them has the
     mass past the top that raises a warning or error: under a fixed top,
     more than :data:`MASS_DEFICIT_TOL`, so no :class:`TruncationWarning`
-    is lost; adaptively, more than ``tail_mass`` past column
+    is lost; adaptively, more than :data:`TAIL_MASS` past column
     ``HARD_CAP - 1``.  The bound does not cover a row's own rounding: at
     works near 0 that alone can take an adaptive row of level 60 or more
     below its target (work 1e-8 at 100 levels), and where the sum leaves
@@ -610,8 +575,8 @@ def canonical_sum(inv_temperature: float, work, level_cutoff: int,
     if level_cutoff < 1:
         raise ValueError("level_cutoff must be >= 1")
     works = _check_work(work)
-    if policy.top is not None and level_cutoff > policy.top:
-        raise ValueError(f"level_cutoff {level_cutoff} is above the top {policy.top}")
+    if top is not None and level_cutoff > top:
+        raise ValueError(f"level_cutoff {level_cutoff} is above the top {top}")
     flat = works.reshape(-1)
     values, last_levels = np.zeros(flat.size), np.zeros(flat.size, dtype=int)
     order = np.argsort(flat, kind="stable")
@@ -619,23 +584,23 @@ def canonical_sum(inv_temperature: float, work, level_cutoff: int,
     for start in range(0, order.size, size):
         group = order[start : start + size]
         values[group], last_levels[group] = _thermal_sums(
-            inv_temperature, flat[group], level_cutoff, policy)
+            inv_temperature, flat[group], level_cutoff, top)
     if works.ndim == 0:
         return CanonicalSum(float(values[0]), int(last_levels[0]))
     return CanonicalSum(values, last_levels)
 
 
 def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
-                  policy: TruncationPolicy):
+                  top: int | None):
     """Values and last levels of :func:`canonical_sum` for a group of works."""
-    if policy.top is None:
-        top, log_level = HARD_CAP - 1, math.log(policy.tail_mass)
+    if top is None:
+        cut, log_level = HARD_CAP - 1, math.log(TAIL_MASS)
     else:
-        top, log_level = policy.top, math.log(MASS_DEFICIT_TOL)
-    # a column found at most at the top bounds the mass past the top: the
+        cut, log_level = top, math.log(MASS_DEFICIT_TOL)
+    # a column found at most at the cut bounds the mass past it: the
     # search runs a column further so that finding none reads above it,
-    # and from a level_cutoff above the top it finds none
-    may_cut = _column_top(level_cutoff, works, max(top, level_cutoff) + 1, log_level) <= top
+    # and from a level_cutoff above the cut it finds none
+    may_cut = _column_top(level_cutoff, works, max(cut, level_cutoff) + 1, log_level) <= cut
     levels = np.arange(level_cutoff + 1)
     q = math.exp(-inv_temperature)
     weights = (1.0 - q) * np.exp(-inv_temperature * levels)
@@ -649,10 +614,10 @@ def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
     # how far a fixed row is swept: at most 2**-56 floor of gain left out
     with np.errstate(divide="ignore"):
         log_mass = np.maximum(_UNDERFLOW_LOG,
-                              np.log(2.0**-56 * floor / math.log(2.0 * top + 1.0)))
+                              np.log(2.0**-56 * floor / math.log(2.0 * cut + 1.0)))
     lasts = np.where(may_cut, np.argmax(tails <= 2.0**-55 * floor[:, None], axis=1),
                      level_cutoff)
-    gains = _level_gains(lasts, works, policy, log_mass)
+    gains = level_gains(lasts, works, top, log_mass)
     partial = np.cumsum(weights[: gains.shape[1]] * gains, axis=1)
     met = ((levels[: gains.shape[1]] <= lasts[:, None])
            & (tails[:, : gains.shape[1]] <= 2.0**-54 * np.abs(partial)))
@@ -666,12 +631,6 @@ def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
             raise TruncationError(f"sum {value:.3e} below half the theorem's floor "
                                   f"{bound:.3e} (work={work})")
     return values, ends
-
-
-def canonical_entropy_change(inv_temperature: float, work, level_cutoff: int,
-                             policy: TruncationPolicy = DEFAULT_POLICY):
-    """The value of :func:`canonical_sum`."""
-    return canonical_sum(inv_temperature, work, level_cutoff, policy).value
 
 
 def canonical_tail_bound(inv_temperature: float, work, level_cutoff: int):

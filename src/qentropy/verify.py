@@ -141,13 +141,14 @@ def von_neumann_contrast(seed: int) -> CheckResult:
 
 
 def row_normalization() -> CheckResult:
-    """Adaptive rows capture all but the tail-mass target."""
+    """Adaptive rows capture all but :data:`quantum.TAIL_MASS` of their mass."""
     worst = 0.0
     for work in _WORK_GRID:
         for level in _LEVEL_GRID:
             row = quantum.transition_row(level, work)
             worst = max(worst, 1.0 - row.captured_mass)
-    return CheckResult("row_normalization", worst <= 1e-12, worst, 1e-12)
+    return CheckResult("row_normalization", worst <= quantum.TAIL_MASS, worst,
+                       quantum.TAIL_MASS)
 
 
 def quantum_moments() -> CheckResult:

@@ -171,9 +171,7 @@ def test_criterion_6_figure1_regression():
     gaps = {}
     clausius_floor = 0.0
     for level in range(81):
-        stats = quantum.microcanonical_stats(
-            level, work, quantum.TruncationPolicy(top=1000)
-        )
+        stats = quantum.microcanonical_stats(level, work, top=1000)
         gaps[level] = stats.entropy - math.log(max(level + 0.5, work))
         if level <= 40:
             clausius_floor = min(
@@ -218,9 +216,7 @@ def test_criterion_7_figure2_regression():
     for duration in T_GRID:
         work = classical.work_half_sine(6.0, float(duration))
         classical_delta = math.log(max(start_volume, work)) - math.log(start_volume)
-        stats = quantum.microcanonical_stats(
-            level, work, quantum.TruncationPolicy(top=1000)
-        )
+        stats = quantum.microcanonical_stats(level, work, top=1000)
         quantum_delta = stats.entropy - math.log(start_volume)
         if quantum_delta < quantum_min:
             quantum_min, quantum_argmin = quantum_delta, float(duration)
@@ -233,9 +229,7 @@ def test_criterion_7_figure2_regression():
         duration = (2 * k + 1) * math.pi
         work = classical.work_half_sine(6.0, duration)
         classical_delta = math.log(max(start_volume, work)) - math.log(start_volume)
-        stats = quantum.microcanonical_stats(
-            level, work, quantum.TruncationPolicy(top=1000)
-        )
+        stats = quantum.microcanonical_stats(level, work, top=1000)
         quantum_delta = stats.entropy - math.log(start_volume)
         if abs(classical_delta) > 1e-9 or abs(quantum_delta) > 1e-9:
             adiabatic_ok = False
@@ -273,9 +267,7 @@ def test_criterion_8_figure3_regression():
     for duration in T_GRID:
         work = classical.work_half_sine(6.0, float(duration))
         classical_delta = classical.canonical_entropy_change(beta, work)
-        quantum_delta = quantum.canonical_entropy_change(
-            beta, work, 100, quantum.TruncationPolicy(top=1000)
-        )
+        quantum_delta = quantum.canonical_sum(beta, work, 100, top=1000).value
         classical_min = min(classical_min, classical_delta)
         quantum_min = min(quantum_min, quantum_delta)
         scaled = beta * work

@@ -189,7 +189,7 @@ def test_default_figures_match_reference(tmp_path, figure, mode, m_trunc):
 @pytest.mark.parametrize("args", [
     ["fig1", "--work", "nan"],
     ["fig1", "--work", "inf"],
-    ["fig1", "--tail-mass", "nan"],
+    ["fig3", "--t-min", "inf"],
     ["fig2", "--amplitude", "nan"],
     ["fig2", "--t-min", "nan"],
     ["fig2", "--t-max", "inf"],
@@ -305,15 +305,6 @@ def test_rejects_duration_grid_above_the_ceiling(tmp_path, args):
     assert not out.exists()
 
 
-def test_rejects_out_of_range_tail_mass(tmp_path):
-    # checked under a fixed cut too, where the rows never read it
-    for m_trunc in ("0", "1000"):
-        result = run(["fig1", "--m-trunc", m_trunc, "--tail-mass",
-                      "2", "--output", str(tmp_path / "bad.csv")])
-        assert result.exit_code == 2
-        assert not (tmp_path / "bad.csv").exists()
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -354,6 +345,20 @@ def test_parameters_header_lists_the_declared_options(tmp_path, args):
     assert declared[-1] == "--output"
     assert ["--" + key for key in header] == declared[:-1]
     assert header[args[-2][2:]] == args[-1]
+
+
+@pytest.mark.parametrize("m_trunc", ["0", "1000"])
+def test_only_an_adaptive_csv_notes_the_tail_mass(tmp_path, m_trunc):
+    out = tmp_path / "out.csv"
+    result = run(["fig1", "--n-trunc", "3", "--m-trunc", m_trunc, "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    comments, _, _ = read_csv(out)
+    notes = [line for line in comments if "TAIL_MASS" in line]
+    if m_trunc == "0":
+        assert notes == ["# note: adaptive truncation: each row keeps all but "
+                         f"quantum.TAIL_MASS = {quantum.TAIL_MASS:g} of its mass"]
+    else:
+        assert notes == []
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -463,7 +468,9 @@ def test_negative_number_in_any_float_form_is_a_value(tmp_path):
     ["fig1", "--wo", "3"],
     ["fig4"],
     [],
-], ids=["misspelt-option", "abbreviated-option", "unknown-command", "no-command"])
+    ["fig1", "--tail-mass", "1e-9"],
+], ids=["misspelt-option", "abbreviated-option", "unknown-command", "no-command",
+        "retired-tail-mass"])
 def test_rejects_unknown_input_in_one_line(args):
     result = run(args)
     assert result.exit_code == 2
@@ -476,8 +483,7 @@ def test_help_lists_every_option_with_its_default_and_range():
     assert listed == {
         "--amplitude": "6.0; float", "--beta": "2.0; x>0", "--n-trunc": "100; x>=1",
         "--t-min": "0.25; x>0", "--t-max": "30.0; float", "--t-step": "0.25; x>0",
-        "--m-trunc": "1000; x>=0", "--tail-mass": "1e-12; 0<x<1",
-        "--output": "fig3.csv; path"}
+        "--m-trunc": "1000; x>=0", "--output": "fig3.csv; path"}
 
 
 class TestVerify:
@@ -500,6 +506,16 @@ class TestVerify:
 
     def test_rejects_bad_trials(self):
         assert run(["verify", "--trials", "0"]).exit_code == 2
+
+    def test_rejects_trials_above_the_maximum(self):
+        # one past the bound only: a value the range admits would allocate
+        result = run(["verify", "--trials", str(cli.MAX_TRIALS + 1)])
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("Error:")]
+        assert len(errors) == 1 and str(cli.MAX_TRIALS) in errors[0]
+        assert "Traceback" not in result.output
+        assert f"1<=x<={cli.MAX_TRIALS}" in run(["verify", "--help"]).output
 
     def test_exit_one_on_violation(self, monkeypatch):
         from qentropy import verify as verify_mod

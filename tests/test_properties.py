@@ -130,18 +130,16 @@ def test_column_top_equals_a_linear_scan(cases, extra, log_level):
         assert column == column_top_by_scan(last, work, top, log_level), (last, work)
 
 
-@given(st.integers(0, 20), st.integers(0, 30), EDGE_WORKS,
-       st.sampled_from([1e-12, 1e-6, 1e-15]))
-def test_adaptive_rows_equal_rows_swept_to_the_underflow(first, span, work, tail_mass):
+@given(st.integers(0, 20), st.integers(0, 30), EDGE_WORKS)
+def test_adaptive_rows_equal_rows_swept_to_the_underflow(first, span, work):
     # past the adaptive top no entry can move a running sum, so every cut,
     # captured mass and error is that of the rows swept until they underflow
     last = first + span
-    policy = quantum.TruncationPolicy(tail_mass=tail_mass)
     stop = int(quantum._column_top(last, work, quantum.HARD_CAP, quantum._UNDERFLOW_LOG))
     cumulative = np.cumsum(quantum.transition_block(first, last, work, stop), axis=1)
-    target = 1.0 - tail_mass
+    target = 1.0 - quantum.TAIL_MASS
     missed = cumulative[:, -1] < target
-    rows = quantum._truncated_rows(first, np.array([last]), np.array([work]), policy)
+    rows = quantum._truncated_rows(first, np.array([last]), np.array([work]), None)
     if missed.any():
         short = int(missed.argmax())
         with pytest.raises(quantum.TruncationError) as error:
@@ -159,11 +157,10 @@ def test_adaptive_rows_equal_rows_swept_to_the_underflow(first, span, work, tail
        st.booleans())
 def test_thermal_cut_matches_the_full_sum(beta, work, cutoff, adaptive):
     spread = 12.0 * math.sqrt((2 * cutoff + 1) * work + 1.0)
-    policy = (quantum.DEFAULT_POLICY if adaptive else
-              quantum.TruncationPolicy(top=cutoff + int(work + spread) + 30))
+    top = None if adaptive else cutoff + int(work + spread) + 30
 
     def gains(last):
-        return quantum._level_gains(np.array([last]), np.array([work]), policy)[0]
+        return quantum.level_gains([last], [work], top)[0]
 
     try:
         row_gains = gains(cutoff)
@@ -172,7 +169,7 @@ def test_thermal_cut_matches_the_full_sum(beta, work, cutoff, adaptive):
         # which can exceed the 1e-12 tail target.  The sum then raises
         # too, or ends before the rows that raise: compare the levels it sums
         try:
-            total = quantum.canonical_sum(beta, work, cutoff, policy)
+            total = quantum.canonical_sum(beta, work, cutoff, top)
         except quantum.TruncationError:
             return
         assert total.last_level < cutoff
@@ -186,7 +183,7 @@ def test_thermal_cut_matches_the_full_sum(beta, work, cutoff, adaptive):
     # rows' own error can exceed half of it, and such a sum raises
     floor = (1.0 - math.exp(-beta)) ** 2 * -math.expm1(-work) * math.log(3.0)
     try:
-        total = quantum.canonical_sum(beta, work, cutoff, policy)
+        total = quantum.canonical_sum(beta, work, cutoff, top)
     except quantum.TruncationError:
         # the rows passed, so the sum fell below half the floor, and the
         # full sum is at most the tail past its last level above it
@@ -211,22 +208,22 @@ def test_fixed_thermal_rows_end_where_the_floor_cannot_see(beta, work, cutoff, e
     # weigh; swept on to the underflow column, the sum moves by at most
     # 2**-56 of the floor, and its last level and warnings do not move.
     # The top follows the mean-level rule: the highest level plus the work
-    policy = quantum.TruncationPolicy(top=cutoff + math.ceil(work) + extra)
-    level_gains, calls = quantum._level_gains, []
+    top = cutoff + math.ceil(work) + extra
+    level_gains, calls = quantum.level_gains, []
 
-    def to_the_underflow(lasts, works, policy, *_):
+    def to_the_underflow(lasts, works, top, *_):
         calls.append(lasts)
-        return level_gains(lasts, works, policy)
+        return level_gains(lasts, works, top)
 
     def thermal_sum():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            total = quantum.canonical_sum(beta, work, cutoff, policy)
+            total = quantum.canonical_sum(beta, work, cutoff, top)
         return total, [(w.category, str(w.message)) for w in caught]
 
     (value, last_level), warned = thermal_sum()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quantum, "_level_gains", to_the_underflow)
+        patch.setattr(quantum, "level_gains", to_the_underflow)
         (swept, swept_last_level), swept_warned = thermal_sum()
     assert calls
     q = math.exp(-beta)

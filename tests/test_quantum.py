@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -8,14 +9,11 @@ import pytest
 
 from qentropy import classical, quantum
 from qentropy.quantum import (
-    DEFAULT_POLICY,
     TruncationError,
-    TruncationPolicy,
-    canonical_entropy_change,
     canonical_sum,
     canonical_tail_bound,
     charlier_direct,
-    level_entropies,
+    level_gains,
     microcanonical_stats,
     transition_probability,
     transition_row,
@@ -301,21 +299,23 @@ class TestTransitionRow:
                 assert row.captured_mass >= 1.0 - 1e-12
 
     def test_fixed_cut(self):
-        row = transition_row(2, 10.0, TruncationPolicy(top=1000))
+        row = transition_row(2, 10.0, top=1000)
         assert row.probabilities.size == 1001
         assert row.captured_mass == pytest.approx(1.0, abs=1e-12)
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(tail_mass=0.0)
-
     def test_fixed_top_validation(self):
+        # a negative top fails the checks that every fixed top passes
+        for call in (transition_row, microcanonical_stats):
+            with pytest.raises(ValueError):
+                call(0, 1.0, top=-1)
         with pytest.raises(ValueError):
-            TruncationPolicy(top=-1)
+            level_gains([0], [1.0], top=-1)
         with pytest.raises(ValueError):
-            transition_row(5, 1.0, TruncationPolicy(top=4))
+            canonical_sum(2.0, 1.0, 1, top=-1)
         with pytest.raises(ValueError):
-            canonical_entropy_change(2.0, 1.0, 30, TruncationPolicy(top=20))
+            transition_row(5, 1.0, top=4)
+        with pytest.raises(ValueError):
+            canonical_sum(2.0, 1.0, 30, top=20)
 
     def test_hard_cap_below_level_raises(self):
         with pytest.raises(TruncationError):
@@ -380,26 +380,70 @@ class TestMicrocanonicalStats:
 
     def test_fixed_cut_agrees_with_adaptive(self):
         adaptive = microcanonical_stats(2, 10.0)
-        fixed = microcanonical_stats(2, 10.0, TruncationPolicy(top=1000))
+        fixed = microcanonical_stats(2, 10.0, top=1000)
         assert fixed.entropy == pytest.approx(adaptive.entropy, abs=1e-10)
 
 
+@functools.lru_cache(maxsize=None)
+def exact_row(n, work):
+    """p(n -> m) at 50 digits for m = 0, 1, ... until past the mean final
+    level an entry is below 1e-60, from the Charlier sum in exact integers
+    (as :func:`charlier_direct`, rounded to 50 digits instead of a float)."""
+    num, den = work.as_integer_ratio()
+    row = []
+    with mpmath.workdps(50):
+        w = mpmath.mpf(work)
+        while not (len(row) > n + work and row[-1] < 1e-60):
+            m, low = len(row), min(len(row), n)
+            total = sum((-1) ** l * math.comb(m, l) * math.comb(n, l) * math.factorial(l)
+                        * den**l * num ** (low - l) for l in range(low + 1))
+            c = mpmath.mpf(total) / mpmath.mpf(num) ** low
+            row.append(mpmath.exp(-w) * w ** (m + n) * c**2
+                       / (mpmath.factorial(m) * mpmath.factorial(n)))
+    return row
+
+
 class TestLevelEntropies:
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, TruncationPolicy(top=1000)],
+    """Figure 1's entropies, ``ln(n + 1/2)`` plus each level's gain from
+    :func:`level_gains`, against the cut rows' sums at 50 digits."""
+
+    LEVELS = {0.1: [2, 40], 10.0: [3, 17, 40], RESONANT_WORK: [0, 20, 40]}
+    #: exp(ln p), with ln p of the order of the work, rounds each entry by
+    #: about work * 2**-52 of itself: the gains err by at most 5.5e-15 at
+    #: works 0.1 and 10 and by 2.9e-14 at the resonant work.  A gain formed
+    #: as the row's entropy less ln(n + 1/2) errs by up to 1.4e-13 at works
+    #: 0.1 and 10 and 6.7e-14 at the resonant work, past either bound.
+    BOUND = {0.1: 2e-14, 10.0: 2e-14, RESONANT_WORK: 4e-14}
+
+    @pytest.mark.parametrize("top", [None, 1000],
                              ids=["adaptive", "fixed"])
     @pytest.mark.parametrize("work", [0.1, 10.0, RESONANT_WORK])
-    def test_match_row_entropies(self, work, policy):
-        entropies = level_entropies(40, work, policy)
-        assert entropies.shape == (41,)
-        for level, entropy in enumerate(entropies):
-            expected = microcanonical_stats(level, work, policy).entropy
-            assert abs(entropy - expected) <= 1e-14
+    def test_match_row_entropies(self, work, top):
+        [gains] = level_gains([40], [work], top)
+        assert gains.shape == (41,)
+        entropies = gains + np.log(np.arange(41) + 0.5)
+        for level in self.LEVELS[work]:
+            # the cut row's entropy; the mass past the cut adds -p ln(n + 1/2)
+            # to the gain, so the gain is that entropy less ln(n + 1/2)
+            length = transition_row(level, work, top).probabilities.size
+            with mpmath.workdps(50):
+                entropy = mpmath.fsum(p * mpmath.log(m + mpmath.mpf(0.5)) for m, p
+                                      in enumerate(exact_row(level, work)[:length]))
+                gain = entropy - mpmath.log(level + mpmath.mpf(0.5))
+            assert abs(gains[level] - gain) <= self.BOUND[work], level
+            assert abs(entropies[level] - entropy) <= self.BOUND[work], level
 
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, TruncationPolicy(top=1000)],
+    @pytest.mark.parametrize("top", [None, 1000],
                              ids=["adaptive", "fixed"])
-    def test_rejects_a_negative_last_level(self, policy):
+    def test_rejects_a_negative_last_level(self, top):
         with pytest.raises(ValueError, match="last must be non-negative"):
-            level_entropies(-1, 1.0, policy)
+            level_gains([-1], [1.0], top)
+
+    @pytest.mark.parametrize("lasts, works", [([4], [10.0, 2.0]), ([40, 3], [10.0]),
+                                              (4, 10.0), ([[4]], [[1.0]])])
+    def test_rejects_anything_but_one_last_level_per_work(self, lasts, works):
+        with pytest.raises(ValueError, match="need one last level per work"):
+            level_gains(lasts, works, 1000)
 
 
 class TestLogFactorials:
@@ -417,12 +461,12 @@ class TestFixedCutMassWarning:
     def test_short_row_warns_with_level_mass_and_top(self):
         with pytest.warns(quantum.TruncationWarning,
                           match=r"level 40 keeps mass 0\.\d+ at the fixed top 45"):
-            row = transition_row(40, 10.0, TruncationPolicy(top=45))
+            row = transition_row(40, 10.0, top=45)
         assert 1.0 - row.captured_mass > quantum.MASS_DEFICIT_TOL
 
     def test_block_names_its_worst_row(self):
         with pytest.warns(quantum.TruncationWarning, match="level 30 "):
-            canonical_entropy_change(2.0, 10.0, 30, TruncationPolicy(top=60))
+            canonical_sum(2.0, 10.0, 30, top=60)
 
 
 class TestColumnSums:
@@ -438,16 +482,16 @@ class TestColumnSums:
 
 class TestCanonical:
     def test_no_drive(self):
-        assert canonical_entropy_change(2.0, 0.0, 100) == 0.0
+        assert canonical_sum(2.0, 0.0, 100).value == 0.0
 
     def test_positive_on_drive_family(self):
         for work in (1e-6, 0.1, 1.0, 10.0, RESONANT_WORK):
-            assert canonical_entropy_change(2.0, work, 60) > 0.0
+            assert canonical_sum(2.0, work, 60).value > 0.0
 
     def test_zero_temperature_limit_collapses_to_ground_gain(self):
         work = 3.0
         gain0 = microcanonical_stats(0, work).entropy - math.log(0.5)
-        assert canonical_entropy_change(40.0, work, 30) == pytest.approx(
+        assert canonical_sum(40.0, work, 30).value == pytest.approx(
             gain0, abs=1e-15
         )
 
@@ -464,14 +508,14 @@ class TestCanonical:
         coefficients = (n + 1) * np.log((n + 1.5) / (n + 0.5)) + n * np.log(
             np.abs(n - 0.5) / (n + 0.5))
         weights = (1.0 - math.exp(-beta)) * np.exp(-beta * n)
-        value = canonical_entropy_change(beta, work, 100, TruncationPolicy(top=1000))
+        value = canonical_sum(beta, work, 100, top=1000).value
         assert value >= 0.0
         first_order = work * (weights @ coefficients)
         assert value == pytest.approx(first_order, rel=1e-9, abs=0.0)
 
     def test_tail_bound_dominates_truncation_error(self):
-        value_30 = canonical_entropy_change(0.5, 5.0, 30)
-        value_100 = canonical_entropy_change(0.5, 5.0, 100)
+        value_30 = canonical_sum(0.5, 5.0, 30).value
+        value_100 = canonical_sum(0.5, 5.0, 100).value
         assert abs(value_100 - value_30) <= canonical_tail_bound(0.5, 5.0, 30)
 
     def test_tail_bound_of_a_column_is_elementwise(self):
@@ -484,9 +528,9 @@ class TestCanonical:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            canonical_entropy_change(-1.0, 1.0, 10)
+            canonical_sum(-1.0, 1.0, 10)
         with pytest.raises(ValueError):
-            canonical_entropy_change(1.0, 1.0, 0)
+            canonical_sum(1.0, 1.0, 0)
 
     @pytest.mark.parametrize("level_cutoff", [-2, 0])
     def test_tail_bound_rejects_a_cutoff_below_one(self, level_cutoff):
@@ -503,10 +547,10 @@ def thermal_floor(beta, work):
 BELOW_HALF_THE_FLOOR = [(1.0, 1e-13, 86), (2.0, 8.554672535565054e-14, 40)]
 
 
-def thermal_terms(beta, work, cutoff, policy):
+def thermal_terms(beta, work, cutoff, top):
     """Weighted gains of levels 0..cutoff, every level swept in one block."""
     levels = np.arange(cutoff + 1)
-    [gains] = quantum._level_gains(np.array([cutoff]), np.array([work]), policy)
+    [gains] = level_gains([cutoff], [work], top)
     return (1.0 - math.exp(-beta)) * np.exp(-beta * levels) * gains
 
 
@@ -533,35 +577,34 @@ class TestThermalRowCut:
 
     WORKS = TestUnderflowTop.FIG3_WORKS[[0, 7, 15, 39, 59, 87, 100, 119]]
 
-    @pytest.mark.parametrize("policy", [TruncationPolicy(top=1000), DEFAULT_POLICY],
+    @pytest.mark.parametrize("top", [1000, None],
                              ids=["fixed", "adaptive"])
     @pytest.mark.parametrize("beta", [0.1, 0.5, 2.0, 5.0])
-    def test_matches_the_full_sum(self, beta, policy):
+    def test_matches_the_full_sum(self, beta, top):
         for work in self.WORKS.tolist():
-            terms = thermal_terms(beta, work, 100, policy)
+            terms = thermal_terms(beta, work, 100, top)
             full = float(terms.sum())
-            total = canonical_sum(beta, work, 100, policy)
-            assert total.value == canonical_entropy_change(beta, work, 100, policy)
+            total = canonical_sum(beta, work, 100, top)
             assert abs(total.value - full) <= (
                 2.0**-54 * abs(full) + ROUNDING * np.abs(terms).sum()), work
             assert total.last_level == first_level_meeting_the_rule(beta, work, terms)
 
     def test_near_zero_row(self):
         # T = 22: the smallest value on fig3's grid
-        total = canonical_sum(2.0, float(self.WORKS[5]), 100, TruncationPolicy(top=1000))
+        total = canonical_sum(2.0, float(self.WORKS[5]), 100, top=1000)
         assert total.value == pytest.approx(2.8e-5, rel=0.01)
         assert total.last_level < 30
 
     def test_near_zero_work_leaves_out_the_rows_whose_rounding_raises(self):
         # rows of level 60 and more carry enough rounding at work 1e-8 to
-        # fall below the 1e-12 tail target, so level_entropies(100, 1e-8)
+        # fall below the 1e-12 tail target, so level_gains([100], [1e-8])
         # and the full adaptive sum raise TruncationError, though no mass
         # is lost; at beta 2 the sum ends before them and returns a value
         total = canonical_sum(2.0, 1e-8, 100)
-        terms = thermal_terms(2.0, 1e-8, total.last_level, DEFAULT_POLICY)
+        terms = thermal_terms(2.0, 1e-8, total.last_level, None)
         assert total.last_level < 60
         assert abs(total.value - terms.sum()) <= ROUNDING * np.abs(terms).sum()
-        fixed = canonical_entropy_change(2.0, 1e-8, 100, TruncationPolicy(top=1000))
+        fixed = canonical_sum(2.0, 1e-8, 100, top=1000).value
         assert total.value == pytest.approx(fixed, rel=1e-6)
 
     @staticmethod
@@ -578,14 +621,14 @@ class TestThermalRowCut:
         monkeypatch.setattr(quantum, "_truncated_rows", recorded)
         return sweeps
 
-    @pytest.mark.parametrize("policy", [TruncationPolicy(top=1000), DEFAULT_POLICY],
+    @pytest.mark.parametrize("top", [1000, None],
                              ids=["fixed", "adaptive"])
     @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 5.0])
-    def test_each_work_is_swept_once(self, beta, policy, monkeypatch):
+    def test_each_work_is_swept_once(self, beta, top, monkeypatch):
         # the floor (1-q)^2 (1 - e^-w) ln 3 on every partial sum fixes the
         # last row in advance, and the rule is met by then
         sweeps = self.sweeps(monkeypatch)
-        total = canonical_sum(beta, self.WORKS, 100, policy)
+        total = canonical_sum(beta, self.WORKS, 100, top)
         assert sorted(sweeps) == sorted(self.WORKS.tolist())
         for work, last_level in zip(self.WORKS.tolist(), total.last_level.tolist()):
             [last] = sweeps[work]
@@ -616,7 +659,7 @@ class TestThermalRowCut:
         assert named == work
         assert floor == float(f"{thermal_floor(beta, work):.3e}")
         assert value < 0.5 * floor
-        fixed = canonical_sum(beta, work, cutoff, TruncationPolicy(top=1000)).value
+        fixed = canonical_sum(beta, work, cutoff, top=1000).value
         assert fixed >= thermal_floor(beta, work)
 
     def test_fixed_rows_end_short_of_the_underflow(self, monkeypatch):
@@ -631,7 +674,7 @@ class TestThermalRowCut:
             return fill_block(first, works, out)
 
         monkeypatch.setattr(quantum, "_fill_block", recorded)
-        canonical_sum(2.0, TestUnderflowTop.FIG3_WORKS, 100, TruncationPolicy(top=1000))
+        canonical_sum(2.0, TestUnderflowTop.FIG3_WORKS, 100, top=1000)
         assert swept
         for last, works, widest in swept:
             underflow = quantum._column_top(last, works, 1000, quantum._UNDERFLOW_LOG)
@@ -646,11 +689,11 @@ class TestThermalRowCut:
     @pytest.mark.parametrize("work", [3800.0, 4000.0])
     def test_adaptive_rows_past_the_hard_cap_still_raise(self, work):
         with pytest.raises(TruncationError):
-            canonical_entropy_change(2.0, work, 100)
+            canonical_sum(2.0, work, 100)
 
     def test_level_above_the_hard_cap_raises(self):
         with pytest.raises(TruncationError):
-            canonical_entropy_change(2.0, 1.0, quantum.HARD_CAP + 1)
+            canonical_sum(2.0, 1.0, quantum.HARD_CAP + 1)
 
     @pytest.mark.parametrize("last, work, top", [
         (100, 10.0, 205), (30, 10.0, 100), (0, 1.0, 5), (5, 50.0, 165),
@@ -677,22 +720,22 @@ class TestColumn:
     WORKS = TestUnderflowTop.FIG3_WORKS
     SAMPLED = [0, 7, 15, 39, 59, 87, 100, 119]
 
-    @pytest.mark.parametrize("policy", [TruncationPolicy(top=1000), DEFAULT_POLICY],
+    @pytest.mark.parametrize("top", [1000, None],
                              ids=["fixed", "adaptive"])
     @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 5.0])
-    def test_column_equals_its_works(self, beta, policy):
+    def test_column_equals_its_works(self, beta, top):
         works = np.r_[self.WORKS, 0.0, 1e-3]
-        column = canonical_sum(beta, works, 100, policy)
+        column = canonical_sum(beta, works, 100, top)
         assert column.value.shape == column.last_level.shape == works.shape
         for k in self.SAMPLED + [120, 121]:
-            alone = canonical_sum(beta, float(works[k]), 100, policy)
+            alone = canonical_sum(beta, float(works[k]), 100, top)
             assert column.value[k] == alone.value, k
             assert column.last_level[k] == alone.last_level, k
 
-    @pytest.mark.parametrize("policy", [TruncationPolicy(top=1000), DEFAULT_POLICY],
+    @pytest.mark.parametrize("top", [1000, None],
                              ids=["fixed", "adaptive"])
     @pytest.mark.parametrize("beta", [0.1, 2.0])
-    def test_chunks_stay_within_their_budget(self, beta, policy, monkeypatch):
+    def test_chunks_stay_within_their_budget(self, beta, top, monkeypatch):
         assert quantum._CHUNK_ENTRIES == 2**17
         shapes = []
         fill_block = quantum._fill_block
@@ -702,26 +745,26 @@ class TestColumn:
             return fill_block(first, works, out)
 
         monkeypatch.setattr(quantum, "_fill_block", recorded)
-        canonical_sum(beta, self.WORKS, 100, policy)
+        canonical_sum(beta, self.WORKS, 100, top)
         assert max(count for count, _, _ in shapes) > 1
         for shape in shapes:
             assert math.prod(shape) <= quantum._CHUNK_ENTRIES, shape
 
     def test_fixed_cut_warns_once_per_work(self):
         works = [10.0, 0.5, 12.0, 1e-3]
-        policy = TruncationPolicy(top=60)
+        top = 60
         expected = []
         for work in works:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                canonical_sum(2.0, work, 30, policy)
+                canonical_sum(2.0, work, 30, top)
             expected += [str(w.message) for w in caught]
         assert len(expected) == 2
         assert all(re.match(r"row of level 30 keeps mass 0\.\d{15} at the fixed top "
                             r"60 \(work=.*\); raise the top$", text) for text in expected)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            canonical_sum(2.0, np.array(works), 30, policy)
+            canonical_sum(2.0, np.array(works), 30, top)
         assert sorted(str(w.message) for w in caught) == sorted(expected)
         assert all(issubclass(w.category, quantum.TruncationWarning) for w in caught)
 
@@ -751,11 +794,11 @@ class TestColumn:
         # adaptive target by rounding; rows 0..30 pass and are yielded
         # before the chunk-mate raises
         works = np.array([1e-8, 1e-8])
-        rows = quantum._truncated_rows(0, np.array([30, 100]), works, DEFAULT_POLICY)
+        rows = quantum._truncated_rows(0, np.array([30, 100]), works, None)
         yielded = [np.copy(a) for a in next(rows)]
         with pytest.raises(TruncationError, match=r"\(level=\d+, work=1e-08\)$"):
             next(rows)
-        [alone] = quantum._truncated_rows(0, np.array([30]), works[:1], DEFAULT_POLICY)
+        [alone] = quantum._truncated_rows(0, np.array([30]), works[:1], None)
         for got, want in zip(yielded, alone):
             assert np.array_equal(got, want)
 
@@ -770,11 +813,11 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError):
             microcanonical_stats(2, work)
         with pytest.raises(ValueError):
-            canonical_entropy_change(2.0, work, 10)
+            canonical_sum(2.0, work, 10)
         with pytest.raises(ValueError):
-            microcanonical_stats(2, work, TruncationPolicy(top=100))
+            microcanonical_stats(2, work, top=100)
 
     @pytest.mark.parametrize("inv_temperature", [math.nan, math.inf])
     def test_canonical_rejects_non_finite_beta(self, inv_temperature):
         with pytest.raises(ValueError):
-            canonical_entropy_change(inv_temperature, 1.0, 10)
+            canonical_sum(inv_temperature, 1.0, 10)
