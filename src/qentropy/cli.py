@@ -159,7 +159,7 @@ def _fig2(args) -> None:
     start = math.log(args.level + 0.5)
     rows = [(duration, work,
              classical.microcanonical_stats(args.level + 0.5, work).log_mean - start,
-             quantum.microcanonical_stats(args.level, work, top).entropy - start)
+             quantum.transition_row(args.level, work, top).gain)
             for duration, work in zip(durations.tolist(), works.tolist())]
     _write_csv(args, ["classical change is exactly zero wherever the work stays "
                       "below the initial volume level + 1/2"], _SCAN_COLUMNS, rows)
@@ -169,9 +169,9 @@ def _fig3(args) -> None:
     """Canonical entropy change versus switching time."""
     durations, works, top = _scan(args, args.n_trunc)
     total = quantum.canonical_sum(args.beta, works, args.n_trunc, top)
-    rows = [(duration, work, classical.canonical_entropy_change(args.beta, work), value)
-            for duration, work, value in zip(durations.tolist(), works.tolist(),
-                                             total.value.tolist())]
+    changes = classical.canonical_entropy_change(args.beta, works)
+    rows = list(zip(durations.tolist(), works.tolist(), changes.tolist(),
+                    total.value.tolist()))
     tail = quantum.canonical_tail_bound(args.beta, float(works.max()), args.n_trunc)
     _write_csv(args, [f"geometric tail beyond n-trunc bounded by {tail:.6e} at the "
                       "largest work on this grid",

@@ -71,11 +71,15 @@ def integrate_left_singular(f, upper: float, n_half: int):
 
     ``f`` must accept an ndarray of strictly positive abscissae; the
     abscissae near 0 are computed as exact endpoint distances, so
-    ``f`` may contain ``log(x)`` or similar integrable blow-ups.
+    ``f`` may contain ``log(x)`` or similar integrable blow-ups.  It may
+    return a stack of integrands, shape ``(..., len(x))``; each is summed
+    by the batched product ``(..., 1, N) @ (N, 1)``, the same BLAS dot a
+    1-d pair uses, so it gets what it would alone (a 2-d gemv rounds
+    differently).
 
     Returns
     -------
-    value, error_estimate : float
+    value, error_estimate : float, or ndarray for a stack
         The integral and the difference against the embedded
         half-resolution rule.
     """
@@ -83,10 +87,13 @@ def integrate_left_singular(f, upper: float, n_half: int):
         raise ValueError("upper limit must be positive")
     _, w, gap_lo, _, coarse = tanh_sinh_rule(n_half)
     half = 0.5 * upper
-    fx = f(half * gap_lo)
-    value = half * float(np.dot(w, fx))
-    coarse_value = half * 2.0 * float(np.dot(w[coarse], fx[coarse]))
-    return value, abs(value - coarse_value)
+    # contiguous rows, also from compress: BLAS sums a strided row differently
+    fx = np.ascontiguousarray(f(half * gap_lo))[..., None, :]
+    value = half * (fx @ w[:, None])[..., 0, 0]
+    coarse_fx = np.compress(coarse, fx, axis=-1)
+    coarse_value = half * 2.0 * (coarse_fx @ w[coarse, None])[..., 0, 0]
+    error = np.abs(value - coarse_value)
+    return (value, error) if value.ndim else (float(value), float(error))
 
 
 def periodic_average(f, nodes: int) -> float:

@@ -33,7 +33,8 @@ for a whole duration column, swept in chunks of works whose size is
 derived from the block shape: at most :data:`_CHUNK_ENTRIES` entries,
 1 MB, at the chunk's largest last row and swept column.  A gain is the
 row sum of ``p ln((m + 1/2)/(n + 1/2))``, so a weak drive's gain is not
-the difference of two sums of order ``ln(n + 1/2)``.
+the difference of two sums of order ``ln(n + 1/2)``; :func:`transition_row`
+gives one level's gain by the same reduction, figure 2's per duration.
 
 Every column cut rests on one bound.  Laguerre's inequality
 ``|L_n^(d)(w)| <= C(m, n) e^(w/2)``, d = m - n, gives ``ln p(n -> m) <=
@@ -67,6 +68,7 @@ mass, never past :data:`HARD_CAP`.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -116,23 +118,20 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TransitionRow:
-    """Transition probabilities out of one level, m = 0..len-1."""
+    """Transition probabilities out of one level, m = 0..len-1, and the
+    level's entropy gain, ``sum_m p ln((m + 1/2)/(level + 1/2))`` over the
+    row as swept (see :func:`level_gains`)."""
 
     level: int
     work: float
     probabilities: np.ndarray
     captured_mass: float
+    gain: float
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
-
-
-class QuantumStats(NamedTuple):
-    mean: float
-    variance: float
-    entropy: float
 
 
 def charlier_direct(m: int, n: int, work: float) -> float:
@@ -175,6 +174,17 @@ def _check_work(work) -> np.ndarray:
         bad = works[~valid].flat[0].item()
         raise ValueError(f"work must be finite and non-negative, got {bad!r}")
     return works
+
+
+def _check_level(name: str, value, low: int = 0) -> int:
+    """``value``, an integer level of at least ``low``, as an int."""
+    try:
+        level = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if level < low:
+        raise ValueError(f"{name} must be >= {low}, got {level}")
+    return level
 
 
 def _log(works) -> np.ndarray:
@@ -328,7 +338,9 @@ def transition_block(first: int, last: int, work, top: int) -> np.ndarray:
     Laguerre's bound leaves at most exp(-800) of mass (:func:`_column_top`);
     later columns stay 0.0, the value their ``exp`` would round to.
     """
-    if not 0 <= first <= last <= top:
+    first, last, top = (_check_level(name, value) for name, value
+                        in (("first", first), ("last", last), ("top", top)))
+    if not first <= last <= top:
         raise ValueError(f"need 0 <= first <= last <= top, got {first}, {last}, {top}")
     works = _check_work(work)
     stop = int(np.max(_column_top(last, works, top, _UNDERFLOW_LOG), initial=last))
@@ -345,8 +357,7 @@ def transition_probability(n: int, m: int, work: float) -> float:
     past the overflow range of :func:`charlier_direct`, and delta_{nm}
     for ``work = 0``.
     """
-    if n < 0 or m < 0:
-        raise ValueError("levels must be non-negative")
+    n, m = _check_level("n", n), _check_level("m", m)
     low, high = min(n, m), max(n, m)
     return float(transition_block(low, low, work, high)[0, high])
 
@@ -401,7 +412,7 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
     lasts = np.asarray(lasts)
     fixed = top is not None
     if fixed:
-        if not 0 <= first <= lasts.min() <= lasts.max() <= top:
+        if not 0 <= first <= lasts.min() <= lasts.max() <= _check_level("top", top):
             raise ValueError(f"need 0 <= first <= last <= top, got {first}, "
                              f"{lasts.max()}, {top}")
         stops = _column_top(lasts, works, top, log_mass)
@@ -447,32 +458,31 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
             yield p, lengths, cumulative[np.arange(rows[i]), lengths - 1]
 
 
+def _gains(first: int, p: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Entropy gain of each row n = first.. of ``p``, cut at its length:
+    ``sum_m p(n -> m) ln((m + 1/2)/(n + 1/2))``, where an entry past the
+    row's length, which its cut sum leaves out, adds ``-p ln(n + 1/2)``."""
+    rows, width = p.shape
+    halves = np.arange(0.5, width)  # m + 1/2, exactly
+    log_levels = np.log(halves)
+    # for integers, m + 1/2 < length exactly where m < length
+    ratios = np.where(halves < lengths[:, None], log_levels, 0.0)
+    ratios -= log_levels[first : first + rows, None]
+    ratios *= p
+    return ratios.sum(axis=1)
+
+
 def transition_row(level: int, work: float, top: int | None = None) -> TransitionRow:
-    """Row of transition probabilities out of ``level``, cut at ``top``, or
-    adaptively where it is None."""
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    [(p, lengths, captured)] = _truncated_rows(
-        level, np.array([level]), _check_work(work).reshape(1), top)
+    """Row of transition probabilities out of ``level`` for one work, cut
+    at ``top``, or adaptively where it is None, with the level's gain."""
+    level, works = _check_level("level", level), _check_work(work).reshape(-1)
+    if works.size != 1:
+        raise ValueError(f"work must be a single value, got {works.size} values")
+    [(p, lengths, captured)] = _truncated_rows(level, np.array([level]), works, top)
     row = np.zeros(lengths[0])
     row[: p.shape[1]] = p[0, : row.size]
-    return TransitionRow(level, work, row, float(captured[0]))
-
-
-def microcanonical_stats(level: int, work: float, top: int | None = None) -> QuantumStats:
-    """Mean, variance and entropy of the row out of a single level.
-
-    The mean and variance reproduce the closed forms ``level + work``
-    and ``(2*level + 1)*work``; the entropy is the truncated sum of
-    ``p_m ln(m + 1/2)``.  An undriven oscillator returns exactly
-    ``(level, 0, ln(level + 1/2))``.
-    """
-    p = transition_row(level, work, top).probabilities
-    m = np.arange(p.size)
-    mean = float(np.dot(m, p))
-    variance = float(np.dot((m - mean) ** 2, p))
-    entropy = float(np.dot(p, np.log(m + 0.5)))
-    return QuantumStats(mean, variance, entropy)
+    return TransitionRow(level, works.item(), row, float(captured[0]),
+                         float(_gains(level, p, lengths)[0]))
 
 
 def level_gains(lasts, works, top: int | None = None,
@@ -489,23 +499,30 @@ def level_gains(lasts, works, top: int | None = None,
     the work, is then not the difference of two sums of order
     ``ln(n + 1/2)``.  Those entries are carried up to the adaptive row's
     swept top; the ones past it, at most 2**-56 of mass, would add at
-    most ``2**-56 ln(n + 1/2)``.
+    most ``2**-56 ln(n + 1/2)``.  A row's entry equals the gain of
+    :func:`transition_row` out of that level bit for bit.
     """
     lasts, works = np.asarray(lasts), _check_work(works)
     if lasts.ndim != 1 or lasts.shape != works.shape:
         raise ValueError(f"need one last level per work, got shapes {lasts.shape} "
                          f"and {works.shape}")
+    if lasts.dtype.kind not in "iu":
+        raise ValueError(f"lasts must be integer levels, got dtype {lasts.dtype}")
     if lasts.min() < 0:
         raise ValueError("last must be non-negative")
     gains = np.zeros((works.size, int(lasts.max()) + 1))
-    log_levels = np.log(np.arange((top or HARD_CAP) + 1) + 0.5)
     for i, (p, lengths, _) in enumerate(
             _truncated_rows(0, lasts, works, top, log_mass)):
-        rows, width = p.shape
-        ratios = np.where(np.arange(width) < lengths[:, None], log_levels[:width], 0.0)
-        ratios -= log_levels[:rows, None]
-        gains[i, :rows] = np.sum(p * ratios, axis=1)
+        gains[i, : p.shape[0]] = _gains(0, p, lengths)
     return gains
+
+
+def _check_thermal(inv_temperature: float, work, level_cutoff: int):
+    """The level cutoff, as an int, and the works of a thermal sum, once the
+    inverse temperature is checked."""
+    if not 0.0 < inv_temperature < math.inf:
+        raise ValueError("inverse temperature must be positive and finite")
+    return _check_level("level_cutoff", level_cutoff, 1), _check_work(work)
 
 
 class CanonicalSum(NamedTuple):
@@ -570,12 +587,8 @@ def canonical_sum(inv_temperature: float, work, level_cutoff: int,
     such rows out it returns a value where the full sum raises
     :class:`TruncationError`.
     """
-    if not 0.0 < inv_temperature < math.inf:
-        raise ValueError("inverse temperature must be positive and finite")
-    if level_cutoff < 1:
-        raise ValueError("level_cutoff must be >= 1")
-    works = _check_work(work)
-    if top is not None and level_cutoff > top:
+    level_cutoff, works = _check_thermal(inv_temperature, work, level_cutoff)
+    if top is not None and level_cutoff > _check_level("top", top):
         raise ValueError(f"level_cutoff {level_cutoff} is above the top {top}")
     flat = works.reshape(-1)
     values, last_levels = np.zeros(flat.size), np.zeros(flat.size, dtype=int)
@@ -640,11 +653,7 @@ def canonical_tail_bound(inv_temperature: float, work, level_cutoff: int):
     Uses concavity (entropy gain of level n is at most
     ``ln(1 + work/(n + 1/2))``) and the exact geometric remainder.
     """
-    if not 0.0 < inv_temperature < math.inf:
-        raise ValueError("inverse temperature must be positive and finite")
-    if level_cutoff < 1:
-        raise ValueError("level_cutoff must be >= 1")
-    works = _check_work(work)
+    level_cutoff, works = _check_thermal(inv_temperature, work, level_cutoff)
     bounds = math.exp(-inv_temperature * (level_cutoff + 1)) * np.log1p(
         works / (level_cutoff + 1.5))
     return float(bounds) if works.ndim == 0 else bounds

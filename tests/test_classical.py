@@ -381,6 +381,19 @@ class TestCanonicalEntropyChange:
             canonical_entropy_change(0.0, 1.0)
         with pytest.raises(ValueError):
             canonical_entropy_change(1.0, -1.0)
+        with pytest.raises(ValueError):
+            canonical_entropy_change(1.0, np.array([1.0, math.nan]))
+
+    @pytest.mark.parametrize("beta", [0.1, 2.0, 8.0])
+    def test_array_of_works_equals_scalar_calls(self, beta):
+        # fig3's column, plus tiny and large works: more than one chunk
+        works = np.r_[0.0, work_half_sine(6.0, 0.25 + 0.25 * np.arange(120)),
+                      np.logspace(-300, 3, 200)]
+        changes = canonical_entropy_change(beta, works)
+        assert changes.shape == works.shape
+        assert changes.tolist() == [canonical_entropy_change(beta, work)
+                                    for work in works.tolist()]
+        assert isinstance(canonical_entropy_change(beta, 1.0), float)
 
 
 class TestSampling:

@@ -54,6 +54,16 @@ def test_error_estimate_tracks_refinement():
     assert abs(fine_val + 1.0) < abs(coarse_val + 1.0) + 1e-15
 
 
+def test_stack_of_integrands_equals_each_alone():
+    scales = np.logspace(-3, 2, 40)
+    values, errors = integrate_left_singular(
+        lambda x: np.exp(-scales[:, None] * x) * np.log(x), 1.0, 256)
+    assert values.shape == errors.shape == scales.shape
+    for scale, value, error in zip(scales.tolist(), values.tolist(), errors.tolist()):
+        alone = integrate_left_singular(lambda x: np.exp(-scale * x) * np.log(x), 1.0, 256)
+        assert (value, error) == alone
+
+
 def test_rejects_bad_upper_limit():
     with pytest.raises(ValueError):
         integrate_left_singular(np.log, 0.0, 32)

@@ -14,12 +14,19 @@ from qentropy.quantum import (
     canonical_tail_bound,
     charlier_direct,
     level_gains,
-    microcanonical_stats,
     transition_probability,
     transition_row,
 )
 
 RESONANT_WORK = 44.41321980490211  # half-sine work at the resonant duration
+
+
+def moments(row):
+    """Mean and variance of the final level over a row's probabilities."""
+    p = row.probabilities
+    m = np.arange(p.size)
+    mean = float(np.dot(m, p))
+    return mean, float(np.dot((m - mean) ** 2, p))
 
 
 def direct_probability(n, m, work):
@@ -305,9 +312,8 @@ class TestTransitionRow:
 
     def test_fixed_top_validation(self):
         # a negative top fails the checks that every fixed top passes
-        for call in (transition_row, microcanonical_stats):
-            with pytest.raises(ValueError):
-                call(0, 1.0, top=-1)
+        with pytest.raises(ValueError):
+            transition_row(0, 1.0, top=-1)
         with pytest.raises(ValueError):
             level_gains([0], [1.0], top=-1)
         with pytest.raises(ValueError):
@@ -321,37 +327,50 @@ class TestTransitionRow:
         with pytest.raises(TruncationError):
             transition_row(quantum.HARD_CAP + 1, 1.0)
 
+    def test_one_work_is_stored_as_a_float(self):
+        row = transition_row(2, np.array([3.0]))
+        assert type(row.work) is float and row.work == 3.0
+
+    @pytest.mark.parametrize("top", [1000, None], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("level", [0, 2, 17])
+    def test_gain_equals_the_level_gains_column(self, level, top):
+        # fig2's default grid, whose works are fig3's: fig2 may read one
+        # level_gains column in place of a row per work and move no bit
+        works = TestUnderflowTop.FIG3_WORKS
+        column = level_gains(np.full(works.size, level), works, top)
+        gains = [transition_row(level, work, top).gain for work in works.tolist()]
+        assert np.array_equal(gains, column[:, level])
+
 
 class TestMicrocanonicalStats:
+    """A single level's row: its moments, and its gain, which fig2 prints."""
+
     def test_moment_identities(self):
         for work in (0.1, 1.0, 10.0, RESONANT_WORK):
             for level in (0, 3, 17, 50):
-                stats = microcanonical_stats(level, work)
-                assert stats.mean == pytest.approx(level + work, rel=1e-8)
-                assert stats.variance == pytest.approx(
-                    (2.0 * level + 1.0) * work, rel=1e-8
-                )
+                mean, variance = moments(transition_row(level, work))
+                assert mean == pytest.approx(level + work, rel=1e-8)
+                assert variance == pytest.approx((2.0 * level + 1.0) * work, rel=1e-8)
 
     def test_adiabatic_exact(self):
-        stats = microcanonical_stats(7, 0.0)
-        assert stats.mean == 7.0
-        assert stats.variance == 0.0
-        assert stats.entropy == math.log(7.5)
+        row = transition_row(7, 0.0)
+        assert moments(row) == (7.0, 0.0)
+        assert row.gain == 0.0
 
     def test_reference_point(self):
-        stats = microcanonical_stats(2, 10.0)
-        assert stats.mean == pytest.approx(12.0, rel=1e-9)
-        assert stats.variance == pytest.approx(50.0, rel=1e-9)
-        assert stats.entropy >= math.log(2.5)
-        assert stats.entropy == pytest.approx(2.3013586598611973, rel=1e-10)
+        row = transition_row(2, 10.0)
+        mean, variance = moments(row)
+        assert mean == pytest.approx(12.0, rel=1e-9)
+        assert variance == pytest.approx(50.0, rel=1e-9)
+        assert row.gain >= 0.0
+        assert row.gain + math.log(2.5) == pytest.approx(2.3013586598611973, rel=1e-10)
 
     def test_entropy_gain_positive_at_and_below_corner(self):
         # single-level starts gain entropy whenever the drive work
         # dominates the initial volume
         for work, top in ((1.0, 0), (10.0, 15), (RESONANT_WORK, 43)):
             for level in range(top + 1):
-                stats = microcanonical_stats(level, work)
-                assert stats.entropy - math.log(level + 0.5) > 0.0
+                assert transition_row(level, work).gain > 0.0
 
     def test_entropy_gain_negative_above_corner(self):
         # a single level is not a decreasing population, so the
@@ -359,17 +378,16 @@ class TestMicrocanonicalStats:
         # corner the gain is in fact slightly negative.  Frozen values
         # confirmed by exact rational arithmetic and an independent
         # propagator run.
-        gap40 = microcanonical_stats(40, 10.0).entropy - math.log(40.5)
+        gap40 = transition_row(40, 10.0).gain
         assert gap40 == pytest.approx(-4.897068254594572e-05, abs=1e-10)
-        gap17 = microcanonical_stats(17, 10.0).entropy - math.log(17.5)
-        assert gap17 < -1e-3
+        assert transition_row(17, 10.0).gain < -1e-3
 
     def test_weak_drive_first_order_coefficient(self):
         # gain/work -> (n+1) ln((n+3/2)/(n+1/2)) - n ln((n+1/2)/(n-1/2)),
         # which is positive only for n = 0
         work = 1e-6
         for level in (0, 1, 2, 5):
-            gain = microcanonical_stats(level, work).entropy - math.log(level + 0.5)
+            gain = transition_row(level, work).gain
             if level == 0:
                 coeff = math.log(3.0)
             else:
@@ -379,9 +397,20 @@ class TestMicrocanonicalStats:
             assert gain / work == pytest.approx(coeff, abs=1e-5)
 
     def test_fixed_cut_agrees_with_adaptive(self):
-        adaptive = microcanonical_stats(2, 10.0)
-        fixed = microcanonical_stats(2, 10.0, top=1000)
-        assert fixed.entropy == pytest.approx(adaptive.entropy, abs=1e-10)
+        adaptive = transition_row(2, 10.0).gain
+        assert transition_row(2, 10.0, top=1000).gain == pytest.approx(adaptive, abs=1e-10)
+
+    @pytest.mark.parametrize("work", [3e-5, 1e-3])
+    def test_weak_drive_gain_against_exact_row(self, work):
+        # fig2's weak drives: each entry adds p ln((m + 1/2)/(n + 1/2)), so
+        # no sum of order ln(n + 1/2) cancels; the row's entropy less
+        # ln(2.5) errs by 1.5e-8 and 3.3e-10 relative here.  Adaptive rows
+        # err by about 1e-7 from the mass their cut leaves out.
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(p * mpmath.log((m + mpmath.mpf(0.5)) / mpmath.mpf(2.5))
+                                for m, p in enumerate(exact_row(2, work)))
+        gain = transition_row(2, work, top=1000).gain
+        assert abs(gain - exact) <= 1e-11 * abs(exact)
 
 
 @functools.lru_cache(maxsize=None)
@@ -490,7 +519,7 @@ class TestCanonical:
 
     def test_zero_temperature_limit_collapses_to_ground_gain(self):
         work = 3.0
-        gain0 = microcanonical_stats(0, work).entropy - math.log(0.5)
+        gain0 = transition_row(0, work).gain
         assert canonical_sum(40.0, work, 30).value == pytest.approx(
             gain0, abs=1e-15
         )
@@ -811,13 +840,27 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError):
             transition_row(2, work)
         with pytest.raises(ValueError):
-            microcanonical_stats(2, work)
+            transition_row(2, work, top=100)
         with pytest.raises(ValueError):
             canonical_sum(2.0, work, 10)
-        with pytest.raises(ValueError):
-            microcanonical_stats(2, work, top=100)
 
     @pytest.mark.parametrize("inv_temperature", [math.nan, math.inf])
     def test_canonical_rejects_non_finite_beta(self, inv_temperature):
         with pytest.raises(ValueError):
             canonical_sum(inv_temperature, 1.0, 10)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: transition_row(2.5, 1.0), "level"),
+    (lambda: transition_row(2, 1.0, top=40.5), "top"),
+    (lambda: level_gains([2.5], [1.0]), "lasts"),
+    (lambda: transition_row(2, [1.0, 2.0]), "work"),
+    (lambda: canonical_tail_bound(2.0, 1.0, 10.5), "level_cutoff"),
+    (lambda: canonical_sum(2.0, 1.0, 10.5), "level_cutoff"),
+    (lambda: transition_probability(2, 3.5, 1.0), "m"),
+    (lambda: quantum.transition_block(0, 2.5, 1.0, 10), "last"),
+], ids=["row-level", "row-top", "gains-lasts", "row-works", "tail-cutoff", "sum-cutoff",
+        "entry-m", "block-last"])
+def test_boundary_names_the_bad_argument(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
