@@ -3,19 +3,19 @@
 Units are fixed to m = omega = hbar = 1, so the phase-space volume
 enclosed by an orbit equals its energy and a single non-negative number
 ("volume" below) labels each orbit.  A cyclic force f(t) acting on
-[0, duration] maps an orbit of volume ``v`` and phase ``phi`` to
+[0, duration] maps an orbit of volume ``v`` to
 
-    v_final = v + w + 2*sqrt(v*w)*cos(duration - phi - theta)
+    v_final = v + w + 2*sqrt(v*w)*cos(psi)
 
-where the complex drive response
+where ``psi`` is the orbit's initial phase shifted by the drive's, and
+the work ``w = |response|**2 / 2`` comes from the complex drive response
 
-    response = integral_0^duration f(t) exp(i t) dt
+    response = integral_0^duration f(t) exp(i t) dt.
 
-fixes the work ``w = |response|**2 / 2`` and the phase offset
-``theta = arg(response)``.  Averaging over the initial phase gives the
-transition kernel between volumes, its first two moments (v + w and
-2*v*w), and the log-average ln(max(v, w)), which is the microcanonical
-entropy after the drive.
+A uniform initial phase makes ``psi`` uniform, so the shift drops out of
+every phase average: the transition kernel between volumes, its first
+two moments (v + w and 2*v*w), and the log-average ln(max(v, w)), which
+is the microcanonical entropy after the drive.
 
 The drive is the half-sine pulse f(t) = amplitude*sin(pi*t/duration),
 whose response has a closed form.
@@ -37,11 +37,10 @@ from .quadrature import QuadratureWarning, integrate_left_singular, periodic_ave
 _PI_LOW = 1.2246467991473532e-16
 
 #: sup over durations of work/amplitude**2 for the half-sine pulse,
-#: attained near duration 4.2953; recomputed by
-#: :func:`work_bound_coefficient` and rounded up in the last digit.
+#: attained near duration 4.2953 and rounded up in the last digit; the
+#: tests recompute it by a two-scan search over durations up to 200.
 WORK_BOUND_COEFFICIENT = 1.4714850659
 
-_BOUND_SCAN_T_MAX = 200.0  # longest duration work_bound_coefficient scans
 _QUAD_ERROR_BOUND = 1e-8
 _CANONICAL_N_HALF = 256
 #: Works integrated at once by :func:`canonical_entropy_change`: 256 rows
@@ -80,38 +79,10 @@ class HalfSineDrive:
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class WorkDescriptor:
-    """Drive response at the oscillator frequency and derived work/phase."""
-
-    response: complex
-    work: float
-    phase: float
-
-    @classmethod
-    def from_response(cls, response: complex) -> "WorkDescriptor":
-        work = float(_work(response.real, response.imag))
-        phase = math.atan2(response.imag, response.real)
-        if phase == -math.pi:  # keep phase in (-pi, pi]
-            phase = math.pi
-        return cls(complex(response), work, phase)
-
-
-class KernelSupport(NamedTuple):
-    """Reachable interval of final volumes from one initial orbit."""
-
-    lower: float
-    upper: float
-
-
 class MicrocanonicalStats(NamedTuple):
     mean: float
     variance: float
     log_mean: float
-
-
-def _work(real, imag):
-    return 0.5 * np.hypot(real, imag) ** 2
 
 
 def _half_sine_response(amplitude: float, duration):
@@ -131,13 +102,6 @@ def _half_sine_response(amplitude: float, duration):
     return scale * cos_half, scale * np.sin(half)
 
 
-def drive_response(drive: HalfSineDrive) -> WorkDescriptor:
-    """Fourier-type response of the half-sine drive at the oscillator
-    frequency, in closed form."""
-    real, imag = _half_sine_response(drive.amplitude, drive.duration)
-    return WorkDescriptor.from_response(complex(real, imag))
-
-
 def _work_half_sine_direct(amplitude: float, duration: float) -> float:
     """Unguarded closed form; 0/0 at duration = pi. Kept for validation."""
     return (
@@ -151,52 +115,15 @@ def _work_half_sine_direct(amplitude: float, duration: float) -> float:
 
 def work_half_sine(amplitude: float, durations):
     """Work done by the half-sine pulse: a float for one duration, an
-    array of the same shape for an array of them.  The work of
-    :func:`drive_response`, equal to ``amplitude**2 pi**2 T**2 (1 + cos T)
-    / (pi**2 - T**2)**2`` and to ``amplitude**2 pi**2 / 8`` at T = pi."""
+    array of the same shape for an array of them.  Half the squared
+    modulus of :func:`_half_sine_response`, equal to ``amplitude**2 pi**2
+    T**2 (1 + cos T) / (pi**2 - T**2)**2`` and to ``amplitude**2 pi**2 / 8``
+    at T = pi."""
     if not math.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
     _check_duration(durations)
-    works = _work(*_half_sine_response(amplitude, durations))
+    works = 0.5 * np.hypot(*_half_sine_response(amplitude, durations)) ** 2
     return works if works.ndim else float(works)
-
-
-def work_bound_coefficient(points: int = 400_000) -> float:
-    """Recompute sup_T work/amplitude**2 (:data:`WORK_BOUND_COEFFICIENT`).
-
-    Two scans of ``points`` durations each: one over [1e-3, 200], then
-    one between the neighbours of its maximum, whose largest work is
-    returned.  The supremum sits near duration 4.2953, away from pi."""
-    grid = np.linspace(1e-3, _BOUND_SCAN_T_MAX, points)
-    i = int(work_half_sine(1.0, grid).argmax())
-    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], points)
-    return float(work_half_sine(1.0, fine).max())
-
-
-def kernel_support(initial_volume: float, work: float) -> KernelSupport:
-    """Interval of final volumes reachable from ``initial_volume``."""
-    _check_non_negative(initial_volume, work)
-    root = math.sqrt(initial_volume) - math.sqrt(work)
-    return KernelSupport(root * root, (math.sqrt(initial_volume) + math.sqrt(work)) ** 2)
-
-
-def final_volume(initial_volume: float, initial_phase, descriptor: WorkDescriptor,
-                 duration: float):
-    """Final enclosed volume of one orbit after the drive.
-
-    Broadcasts over ``initial_phase``; every output lies inside
-    :func:`kernel_support` bounds.
-    """
-    _check_non_negative(initial_volume)
-    phase = np.asarray(initial_phase, dtype=float)
-    out = (
-        initial_volume
-        + descriptor.work
-        + 2.0
-        * math.sqrt(initial_volume * descriptor.work)
-        * np.cos(duration - phase - descriptor.phase)
-    )
-    return out if out.ndim else float(out)
 
 
 def kernel_density(final_vol, initial_volume, work):
@@ -312,17 +239,3 @@ def canonical_entropy_change(inv_temperature: float, work):
                                            1.0, _CANONICAL_N_HALF)
         changes[start : start + chunk.size] = -chunk[:, 0] * value
     return changes.reshape(works.shape) if works.ndim else float(changes[0])
-
-
-def sample_final_volumes(initial_volume: float, descriptor: WorkDescriptor,
-                         duration: float, count: int, seed: int) -> np.ndarray:
-    """Monte Carlo draw of final volumes from uniform initial phases.
-
-    Deterministic per seed; serves as an independent check of
-    :func:`kernel_density` and the moment formulas.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    return np.asarray(final_volume(initial_volume, phases, descriptor, duration))

@@ -19,8 +19,11 @@ level dim-1 alone, whose mass the leak monitor bounds.
 x maps even levels to odd ones, so x[even, odd] = A diag(s) B^T (for
 odd dim A is square, with one unpaired x = 0 mode) diagonalises it in
 pairs.  With the odd sector carried as i u_odd, a kick turns each pair
-(A^T u_even, B^T (i u_odd)) by the real angle c f s_j: four real
-half-size products per kick, half the multiply-adds of two full ones.
+(A^T u_even, B^T (i u_odd)) by the real angle c f s_j.  The two halves
+are held as one stacked state, so a kick is two batched products of
+(A^T, B^T) and (A, B), half the multiply-adds of two full ones; for odd
+dim the odd half carries one zero pad level, paired with A's unpaired
+mode at angle 0.
 LAPACK gives only s; A and B come from x's eigenvectors, Hermite
 functions, by recurrence (:func:`_pairs`), so no LAPACK eigenvector
 routine wakes OpenBLAS's worker thread and leaves it spinning.  Every
@@ -140,9 +143,12 @@ def propagate(drive, dim: int, steps: int, levels: int) -> PropagatorResult:
         raise ValueError(f"levels must be in 1..{dim}")
     dt = drive.duration / steps
     a, s, b = _pairs(dim)
-    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    free = np.exp(-0.5j * dt * (np.arange(dim) + 0.5))[:, None]
-    free_even, free_odd = free[0::2].copy(), free[1::2].copy()
+    h = a.shape[0]  # levels per parity half
+    if dim % 2:  # pad the odd half with a zero level that turns by angle 0
+        b, s = np.pad(b, (0, 1)), np.append(s, 0.0)
+        b[-1, -1] = 1.0
+    to_pairs, from_pairs = np.stack([a.T, b.T]), np.stack([a, b])
+    free = np.exp(-0.5j * dt * (np.arange(2 * h) + 0.5)).reshape(h, 2).T[..., None]
     times = np.linspace(0.0, drive.duration, 2 * steps + 1)  # ends exactly
     forces = np.broadcast_to(drive.force(times), times.shape)
     if not np.isfinite(forces).all():
@@ -152,28 +158,27 @@ def propagate(drive, dim: int, steps: int, levels: int) -> PropagatorResult:
     kicks = forces * weights
     # the gradient terms dt^3/72 f(t + dt/2)^2 of all steps: one phase
     phase = np.exp(1j * dt**3 / 72 * (forces[1::2] ** 2).sum())
-    cols = phase * np.eye(dim, levels)
-    even, odd = cols[0::2], 1j * cols[1::2]
-    chunk = max(1, _TABLE_ENTRIES // s.size)
+    cols = phase * np.eye(2 * h, levels)
+    x = np.stack([cols[0::2], 1j * cols[1::2]])  # even and odd halves
+    chunk = max(1, _TABLE_ENTRIES // h)
     for first in range(0, kicks.size, chunk):
         turns = np.multiply.outer(kicks[first:first + chunk], s)[..., None]
-        tables = zip(range(first, kicks.size), np.cos(turns), np.sin(turns))
+        # sin signed per half: the even half turns by -sin, the odd by +sin
+        signed = np.sin(turns)[:, None] * np.array([-1.0, 1.0])[:, None, None]
+        tables = zip(range(first, kicks.size), np.cos(turns), signed)
         for k, cos, sin in tables:
             if k:
-                even *= free_even
-                odd *= free_odd
+                x *= free
             if kicks[k]:  # zero force: the kick is 1, A A^T only nearly
                 # A and B are real: turn the real and imaginary parts at
-                # once through float views of the complex columns
-                alpha, beta = at @ even.view(float), bt @ odd.view(float)
-                paired, turned = alpha[:s.size], sin * alpha[:s.size]
-                paired *= cos
-                paired -= sin * beta
-                beta *= cos
-                beta += turned
-                even, odd = (a @ alpha).view(complex), (b @ beta).view(complex)
+                # once through float views of the complex halves
+                pairs = to_pairs @ x.view(float)
+                turned = pairs[::-1] * sin
+                pairs *= cos
+                pairs += turned
+                x = (from_pairs @ pairs).view(complex)
     u = np.empty((dim, levels), complex)
-    u[0::2], u[1::2] = even, -1j * odd
+    u[0::2], u[1::2] = x[0], -1j * x[1, :dim // 2]
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(levels))))
     if not defect <= UNITARITY_THRESHOLD:
         raise UnitarityError(

@@ -52,19 +52,21 @@ class CheckResult:
         return text
 
 
-def _stack_size(dim: int) -> int:
-    """Instances of ``dim`` levels reduced in one stacked call: their
-    matrices hold at most 2**14 entries (128 KB) whatever the trial count,
-    so memory stays flat while the per-call overhead is shared."""
-    return max(1, 2**14 // dim**2)
+def _stack_size(entries: int) -> int:
+    """Instances reduced in one stacked call when each holds ``entries``
+    numbers: a stack holds at most 2**14 entries (128 KB) whatever the
+    trial count, so memory stays flat while the per-call overhead is
+    shared."""
+    return max(1, 2**14 // entries)
 
 
-def _stacks(seed: int, check: int, counts: dict[int, int]):
+def _stacks(seed: int, check: int, counts: dict[int, int], entries):
     """Yield ``(generator, dim, size)`` for the stacks of ``counts[dim]``
-    instances of each dimension, one stream per check and dimension."""
+    instances of each dimension, one stream per check and dimension; an
+    instance of ``dim`` levels holds ``entries(dim)`` numbers."""
     for dim, count in counts.items():
         rng = np.random.default_rng([seed, check, dim])
-        size = _stack_size(dim)
+        size = _stack_size(entries(dim))
         for start in range(0, count, size):
             yield rng, dim, min(size, count - start)
 
@@ -74,7 +76,7 @@ def _theorem_reports(seed: int, trials: int):
     ``_THEOREM_DIMS[i % 4]``, decreasing populations and a unistochastic
     matrix."""
     counts = Counter(np.resize(_THEOREM_DIMS, trials).tolist())
-    for rng, dim, size in _stacks(seed, 0, counts):
+    for rng, dim, size in _stacks(seed, 0, counts, lambda dim: dim**2):
         p = random_decreasing(dim, rng, size)
         yield entropy_change(p, evolve_distribution(p, random_unistochastic(dim, rng, size)))
 
@@ -83,7 +85,7 @@ def _byparts_reports(seed: int, pairs: int):
     """Yield ``EntropyReport`` stacks of unordered population pairs, each
     pair's dimension drawn from 2..64."""
     dims = np.random.default_rng(seed).integers(2, 65, size=pairs)
-    for rng, dim, size in _stacks(seed, 1, Counter(dims.tolist())):
+    for rng, dim, size in _stacks(seed, 1, Counter(dims.tolist()), lambda dim: 2 * dim):
         ones = np.ones(dim)
         yield entropy_change(ProbabilityVector(rng.dirichlet(ones, size)),
                              ProbabilityVector(rng.dirichlet(ones, size)))

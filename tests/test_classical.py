@@ -10,19 +10,13 @@ from scipy.special import exp1
 from qentropy import classical, quantum, verify
 from qentropy.classical import (
     HalfSineDrive,
-    KernelSupport,
     WORK_BOUND_COEFFICIENT,
-    WorkDescriptor,
+    _half_sine_response,
     _work_half_sine_direct,
     canonical_entropy_change,
-    drive_response,
-    final_volume,
     kernel_density,
-    kernel_support,
     microcanonical_quadrature,
     microcanonical_stats,
-    sample_final_volumes,
-    work_bound_coefficient,
     work_half_sine,
 )
 
@@ -44,6 +38,19 @@ PINNED_DURATIONS = {
 }
 
 
+def response(drive):
+    """The closed-form drive response as one complex number."""
+    return complex(*_half_sine_response(drive.amplitude, drive.duration))
+
+
+def sample_final_volumes(volume, work, count, seed):
+    """Monte Carlo final volumes ``v + w + 2 sqrt(v w) cos(psi)`` of orbits
+    with uniform phases ``psi``; the drive's phase shift, and so its
+    duration, drop out of a uniform phase."""
+    psi = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=count)
+    return volume + work + 2.0 * math.sqrt(volume * work) * np.cos(psi)
+
+
 def quad_response(drive):
     """Independent oracle: adaptive quadrature of f(t) exp(i t)."""
     re, _ = quad(lambda t: drive.force(t) * math.cos(t), 0.0, drive.duration,
@@ -55,39 +62,36 @@ def quad_response(drive):
 
 class TestDriveResponse:
     def test_zero_amplitude(self):
-        wd = drive_response(HalfSineDrive(0.0, 3.0))
-        assert wd.response == 0.0
-        assert wd.work == 0.0
+        drive = HalfSineDrive(0.0, 3.0)
+        assert response(drive) == 0.0
+        assert work_half_sine(drive.amplitude, drive.duration) == 0.0
 
     def test_resonant_duration(self):
         # removable singularity of the closed form at duration = pi
-        wd = drive_response(HalfSineDrive(6.0, math.pi))
-        assert wd.work == pytest.approx(4.5 * math.pi**2, rel=1e-12)
-        assert wd.phase == pytest.approx(0.5 * math.pi, abs=1e-12)
+        drive = HalfSineDrive(6.0, math.pi)
+        work = work_half_sine(6.0, math.pi)
+        assert work == pytest.approx(4.5 * math.pi**2, rel=1e-12)
+        assert cmath.phase(response(drive)) == pytest.approx(0.5 * math.pi, abs=1e-12)
 
     def test_full_period(self):
-        wd = drive_response(HalfSineDrive(6.0, 2.0 * math.pi))
+        drive = HalfSineDrive(6.0, 2.0 * math.pi)
         # direct substitution gives 288 pi^4 / (9 pi^4) = 32
-        assert wd.work == pytest.approx(32.0, rel=1e-10)
-        oracle = quad_response(HalfSineDrive(6.0, 2.0 * math.pi))
-        assert abs(wd.response - oracle) < 1e-9
+        assert work_half_sine(6.0, 2.0 * math.pi) == pytest.approx(32.0, rel=1e-10)
+        assert abs(response(drive) - quad_response(drive)) < 1e-9
 
     @pytest.mark.parametrize("duration", [0.7, 2.0, math.pi - 5e-4, math.pi,
                                           math.pi + 5e-4, 4.3, 10.0])
     def test_against_quadrature(self, duration):
         drive = HalfSineDrive(6.0, duration)
-        wd = drive_response(drive)
-        assert abs(wd.response - quad_response(drive)) < 1e-9
+        assert abs(response(drive) - quad_response(drive)) < 1e-9
 
     def test_work_and_phase_fields(self):
-        wd = drive_response(HalfSineDrive(3.0, 5.0))
-        assert wd.work == pytest.approx(0.5 * abs(wd.response) ** 2, abs=1e-12)
-        assert wd.phase == pytest.approx(cmath.phase(wd.response), abs=1e-15)
-        assert -math.pi < wd.phase <= math.pi
-
-    def test_phase_convention_at_minus_pi(self):
-        wd = WorkDescriptor.from_response(complex(-2.0, -0.0))
-        assert wd.phase == math.pi
+        # 1 + exp(iT) = 2 cos(T/2) exp(iT/2): the response points along
+        # exp(iT/2), here with a positive scale
+        drive = HalfSineDrive(3.0, 5.0)
+        r = response(drive)
+        assert work_half_sine(3.0, 5.0) == pytest.approx(0.5 * abs(r) ** 2, abs=1e-12)
+        assert cmath.phase(r) == pytest.approx(2.5, abs=1e-15)
 
 
 class TestDriveValidation:
@@ -121,13 +125,13 @@ class TestWorkHalfSine:
             for duration, work in zip(durations.tolist(), works.tolist()):
                 t = mpmath.mpf(duration)
                 exact = 6 * mpmath.pi * t * (1 + mpmath.expj(t)) / (mpmath.pi**2 - t**2)
-                response = drive_response(HalfSineDrive(6.0, duration)).response
+                closed = response(HalfSineDrive(6.0, duration))
                 assert abs(work - abs(exact) ** 2 / 2) <= 4e-15 * abs(exact) ** 2 / 2
-                assert abs(mpmath.mpc(response) - exact) <= 4e-15 * abs(exact)
+                assert abs(mpmath.mpc(closed) - exact) <= 4e-15 * abs(exact)
 
     def test_matches_response_work(self):
         for duration in (0.5, 2.0, math.pi, 7.0, 29.75):
-            fro = drive_response(HalfSineDrive(6.0, duration)).work
+            fro = 0.5 * abs(response(HalfSineDrive(6.0, duration))) ** 2
             assert work_half_sine(6.0, duration) == fro
 
     def test_array_of_durations(self):
@@ -168,56 +172,27 @@ class TestWorkHalfSine:
             work_half_sine(amplitude, duration)
 
     def test_bound_coefficient_derivation(self):
-        derived = work_bound_coefficient(points=200_000)
+        # one scan over [1e-3, 200], then one between the neighbours of
+        # its maximum; the supremum sits near duration 4.2953, away from pi
+        points = 200_000
+        grid = np.linspace(1e-3, 200.0, points)
+        i = int(work_half_sine(1.0, grid).argmax())
+        fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], points)
+        derived = float(work_half_sine(1.0, fine).max())
         assert derived <= WORK_BOUND_COEFFICIENT
         assert WORK_BOUND_COEFFICIENT - derived < 1e-8
 
 
-class TestFinalVolume:
-    def test_no_drive(self):
-        wd = WorkDescriptor.from_response(0.0)
-        for phase in (0.0, 1.0, 5.0):
-            assert final_volume(3.2, phase, wd, 4.0) == pytest.approx(3.2, abs=0)
-
-    def test_start_at_rest(self):
-        wd = drive_response(HalfSineDrive(2.0, 3.0))
-        assert final_volume(0.0, 1.2, wd, 3.0) == pytest.approx(wd.work, abs=1e-14)
-
-    def test_support_endpoints(self):
-        wd = drive_response(HalfSineDrive(2.0, 3.0))
-        support = kernel_support(1.5, wd.work)
-        # choose initial phases that put the cosine at +-1
-        phase_hi = 3.0 - wd.phase
-        phase_lo = phase_hi - math.pi
-        assert final_volume(1.5, phase_hi, wd, 3.0) == pytest.approx(
-            support.upper, abs=1e-12
-        )
-        assert final_volume(1.5, phase_lo, wd, 3.0) == pytest.approx(
-            support.lower, abs=1e-12
-        )
-
-    def test_always_inside_support(self):
-        wd = drive_response(HalfSineDrive(4.0, 2.0))
-        support = kernel_support(2.0, wd.work)
-        phases = np.linspace(0.0, 2.0 * math.pi, 193)
-        values = final_volume(2.0, phases, wd, 2.0)
-        assert values.min() >= support.lower - 1e-12
-        assert values.max() <= support.upper + 1e-12
-
-    def test_rejects_negative_volume(self):
-        wd = WorkDescriptor.from_response(1.0)
-        with pytest.raises(ValueError):
-            final_volume(-0.5, 0.0, wd, 1.0)
-
-
 class TestKernel:
     def test_support_geometry(self):
-        support = kernel_support(2.0, 0.5)
-        assert isinstance(support, KernelSupport)
-        assert 0.0 <= support.lower <= support.upper
-        assert support.upper - support.lower == pytest.approx(
-            4.0 * math.sqrt(2.0 * 0.5), rel=1e-14
-        )
+        # the density is positive exactly between (sqrt v -+ sqrt w)**2
+        root_v, root_w = math.sqrt(2.0), math.sqrt(0.5)
+        lower, upper = (root_v - root_w) ** 2, (root_v + root_w) ** 2
+        assert upper - lower == pytest.approx(4.0 * math.sqrt(2.0 * 0.5), rel=1e-14)
+        inside = np.linspace(lower, upper, 9)[1:-1]
+        assert np.all(kernel_density(inside, 2.0, 0.5) > 0.0)
+        assert kernel_density(lower * (1.0 - 1e-9), 2.0, 0.5) == 0.0
+        assert kernel_density(upper * (1.0 + 1e-9), 2.0, 0.5) == 0.0
 
     def test_center_value(self):
         v, w = 2.0, 0.7
@@ -230,9 +205,9 @@ class TestKernel:
         assert kernel_density(0.01, 4.0, 1.0) == 0.0
 
     def test_endpoints_map_to_zero(self):
-        support = kernel_support(2.0, 0.5)
-        assert kernel_density(support.lower, 2.0, 0.5) == 0.0
-        assert kernel_density(support.upper, 2.0, 0.5) == 0.0
+        root_v, root_w = math.sqrt(2.0), math.sqrt(0.5)
+        assert kernel_density((root_v - root_w) ** 2, 2.0, 0.5) == 0.0
+        assert kernel_density((root_v + root_w) ** 2, 2.0, 0.5) == 0.0
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -398,36 +373,27 @@ class TestCanonicalEntropyChange:
 
 class TestSampling:
     def test_no_drive_is_constant(self):
-        wd = WorkDescriptor.from_response(0.0)
-        samples = sample_final_volumes(2.5, wd, 1.0, 100, seed=1)
+        samples = sample_final_volumes(2.5, 0.0, 100, seed=1)
         assert np.all(samples == 2.5)
 
     def test_mean_matches_moment_formula(self):
         # unit work and unit initial volume: mean must sit within the
         # central-limit band around 2
-        wd = WorkDescriptor.from_response(complex(math.sqrt(2.0)))
-        assert wd.work == pytest.approx(1.0, abs=1e-15)
-        samples = sample_final_volumes(1.0, wd, 2.0, 1_000_000, seed=42)
+        samples = sample_final_volumes(1.0, 1.0, 1_000_000, seed=42)
         sigma = math.sqrt(2.0 / samples.size)
         assert abs(samples.mean() - 2.0) < 3.0 * sigma
 
-    def test_deterministic(self):
-        wd = drive_response(HalfSineDrive(2.0, 2.0))
-        a = sample_final_volumes(1.0, wd, 2.0, 1000, seed=9)
-        b = sample_final_volumes(1.0, wd, 2.0, 1000, seed=9)
-        assert np.array_equal(a, b)
-
     def test_histogram_approaches_kernel(self):
-        wd = drive_response(HalfSineDrive(2.0, 2.0))
-        support = kernel_support(1.0, wd.work)
-        lo = support.lower + 0.1 * (support.upper - support.lower)
-        hi = support.upper - 0.1 * (support.upper - support.lower)
+        work = work_half_sine(2.0, 2.0)
+        lower, upper = (1.0 - math.sqrt(work)) ** 2, (1.0 + math.sqrt(work)) ** 2
+        lo = lower + 0.1 * (upper - lower)
+        hi = upper - 0.1 * (upper - lower)
         edges = np.linspace(lo, hi, 21)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        reference = kernel_density(centers, 1.0, wd.work)
+        reference = kernel_density(centers, 1.0, work)
 
         def sup_discrepancy(count, seed):
-            samples = sample_final_volumes(1.0, wd, 2.0, count, seed)
+            samples = sample_final_volumes(1.0, work, count, seed)
             hist, _ = np.histogram(samples, bins=edges)
             density = hist / (count * np.diff(edges))
             return float(np.max(np.abs(density - reference)))
@@ -435,10 +401,6 @@ class TestSampling:
         coarse = sup_discrepancy(50_000, seed=3)
         fine = sup_discrepancy(1_600_000, seed=4)
         assert fine < coarse
-
-    def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            sample_final_volumes(1.0, WorkDescriptor.from_response(1.0), 1.0, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -452,9 +414,6 @@ class TestSampling:
         (microcanonical_stats, (math.nan, 1.0)),
         (microcanonical_quadrature, (math.nan, 1.0, 64)),
         (microcanonical_quadrature, (1.0, math.inf, 64)),
-        (kernel_support, (1.0, math.nan)),
-        (kernel_support, (math.inf, 1.0)),
-        (final_volume, (math.nan, 0.0, WorkDescriptor.from_response(1.0), 1.0)),
         (kernel_density, (1.0, math.nan, 1.0)),
         (kernel_density, (1.0, 1.0, math.inf)),
         (quantum.canonical_tail_bound, (math.nan, 1.0, 10)),

@@ -279,7 +279,7 @@ class TestStacks:
 
     def test_theorem_stacks_equal_one_dimensional_calls(self):
         counts = {dim: 10 for dim in verify._THEOREM_DIMS}
-        stacks = list(verify._stacks(5, 0, counts))
+        stacks = list(verify._stacks(5, 0, counts, lambda dim: dim**2))
         reports = list(verify._theorem_reports(5, 40))
         assert len(reports) == len(stacks)
         for (rng, dim, size), stacked in zip(stacks, reports):
@@ -290,7 +290,7 @@ class TestStacks:
 
     def test_byparts_stacks_equal_one_dimensional_calls(self):
         dims = np.random.default_rng(8).integers(2, 65, size=200)
-        stacks = list(verify._stacks(8, 1, Counter(dims.tolist())))
+        stacks = list(verify._stacks(8, 1, Counter(dims.tolist()), lambda dim: 2 * dim))
         reports = list(verify._byparts_reports(8, 200))
         assert len(reports) == len(stacks)
         for (rng, dim, size), stacked in zip(stacks, reports):
@@ -300,7 +300,7 @@ class TestStacks:
 
     def test_the_two_checks_draw_from_different_streams(self):
         [(theorem, _, _)], [(byparts, _, _)] = (
-            list(verify._stacks(5, check, {8: 1})) for check in (0, 1))
+            list(verify._stacks(5, check, {8: 1}, lambda dim: dim)) for check in (0, 1))
         assert theorem.random() != byparts.random()
 
     def test_stacked_fields_are_frozen_arrays(self):
@@ -356,14 +356,16 @@ class TestStacks:
                                   random_decreasing(5, vectors).weights)
 
     def test_stack_memory_does_not_grow_with_trials(self, monkeypatch):
-        for dim in range(1, 65):
-            assert verify._stack_size(dim) * dim**2 <= 2**14
+        for entries in range(1, 64**2 + 1):
+            assert verify._stack_size(entries) * entries <= 2**14
         dims = np.random.default_rng(3).integers(2, 65, size=1500)
         theorem_dims = np.resize(verify._THEOREM_DIMS, 1200)
-        for reports, drawn in ((verify._byparts_reports(3, 1500), dims),
-                               (verify._theorem_reports(3, 1200), theorem_dims)):
+        # a byparts instance holds two populations, a theorem instance a matrix
+        for reports, drawn, entries in (
+                (verify._byparts_reports(3, 1500), dims, lambda dim: 2 * dim),
+                (verify._theorem_reports(3, 1200), theorem_dims, lambda dim: dim**2)):
             held = Counter()
             for size, dim in stack_shapes(monkeypatch, reports):
-                assert size <= verify._stack_size(dim)
+                assert size <= verify._stack_size(entries(dim))
                 held[dim] += size
             assert held == Counter(drawn.tolist())

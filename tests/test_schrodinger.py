@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qentropy.classical import HalfSineDrive, drive_response
+from qentropy.classical import HalfSineDrive, work_half_sine
 from qentropy.quantum import transition_block, transition_probability
 from qentropy.schrodinger import (
     BasisLeakWarning,
@@ -179,7 +179,7 @@ class TestNumericTransitionRow:
 
     def test_ground_state_row_is_poisson(self):
         drive = HalfSineDrive(1.0, 2.0)
-        work = drive_response(drive).work
+        work = work_half_sine(drive.amplitude, drive.duration)
         row = numeric_transition_row(
             0, propagate(drive, dim=80, steps=1500, levels=1))
         for m in range(12):
@@ -188,7 +188,7 @@ class TestNumericTransitionRow:
 
     def test_matches_charlier_block(self):
         drive = HalfSineDrive(2.0, 2.0)
-        work = drive_response(drive).work
+        work = work_half_sine(drive.amplitude, drive.duration)
         result = propagate(drive, dim=140, steps=1200, levels=11)
         worst = 0.0
         for n in range(11):
@@ -200,7 +200,8 @@ class TestNumericTransitionRow:
     def test_matches_charlier_block_at_odd_dim(self):
         drive = HalfSineDrive(2.0, 2.0)
         result = propagate(drive, dim=141, steps=600, levels=11)
-        block = transition_block(0, 10, drive_response(drive).work, 10)
+        work = work_half_sine(drive.amplitude, drive.duration)
+        block = transition_block(0, 10, work, 10)
         worst = max(np.max(np.abs(numeric_transition_row(n, result)[:11] - block[n]))
                     for n in range(11))
         assert worst <= 1e-10
