@@ -169,7 +169,10 @@ def _fig3(args) -> None:
     """Canonical entropy change versus switching time."""
     durations, works, top = _scan(args, args.n_trunc)
     total = quantum.canonical_sum(args.beta, works, args.n_trunc, top)
-    changes = classical.canonical_entropy_change(args.beta, works)
+    try:
+        changes = classical.canonical_entropy_change(args.beta, works)
+    except ValueError as exc:  # beta * work overflows
+        raise ArgumentTypeError(f"--beta: {exc}") from None
     rows = list(zip(durations.tolist(), works.tolist(), changes.tolist(),
                     total.value.tolist()))
     tail = quantum.canonical_tail_bound(args.beta, float(works.max()), args.n_trunc)

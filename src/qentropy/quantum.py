@@ -34,19 +34,21 @@ derived from the block shape: at most :data:`_CHUNK_ENTRIES` entries,
 1 MB, at the chunk's largest last row and swept column.  A gain is the
 row sum of ``p ln((m + 1/2)/(n + 1/2))``, so a weak drive's gain is not
 the difference of two sums of order ``ln(n + 1/2)``; :func:`transition_row`
-gives one level's gain by the same reduction, figure 2's per duration.
+gives one level's gain by the same reduction, figure 2's per duration,
+its one row swept as one block without the chunking.
 
 Every column cut rests on one bound.  Laguerre's inequality
 ``|L_n^(d)(w)| <= C(m, n) e^(w/2)``, d = m - n, gives ``ln p(n -> m) <=
 d ln w + ln m! - ln n! - 2 ln d!``; summed as a geometric series it
 bounds the mass past a column of every row up to a last one, and
 :func:`_column_top` finds the first column where that mass is at most a
-given level.  Past the column at exp(-800) every entry would round to
-0.0, so the sweep ends there and leaves them at 0.0: blocks, and a fixed
-cut's meaning and output, stay the same bit for bit.  Past the column at
-2**-56 no entry can move an adaptive row's running sums, so an adaptive
-row is swept to there and cut, kept or raised exactly as if swept to
-:data:`HARD_CAP`.  A fixed row of the thermal sum stops sooner, past the
+given level, in one pass over every column for a small search (fig1's
+and fig2's fixed rows) and in two for a large one.  Past the column at
+exp(-800) every entry would round to 0.0, so the sweep ends there and
+leaves them at 0.0: blocks, and a fixed cut's meaning and output, stay
+the same bit for bit.  Past the column at 2**-56 no entry can move an
+adaptive row's running sums, so an adaptive row is swept to there and
+cut, kept or raised exactly as if swept to :data:`HARD_CAP`.  A fixed row of the thermal sum stops sooner, past the
 column at ``2**-56 floor / ln(2 top + 1)``, with ``floor`` the theorem's
 floor below: the entries left out there move the sum by at most 2**-56
 of it.  The thermal sum ends at a weight top: the first level
@@ -103,8 +105,19 @@ _ABSORBED_LOG = -56 * math.log(2.0)
 #: it), and the thermal rule's per-work tables are sliced to it too.
 _CHUNK_ENTRIES = 2**17
 
+#: Most entries (works times columns) for which :func:`_column_top` tries
+#: every column in one pass.  The two-pass search's cost is mostly fixed
+#: per-call overhead, about that of one pass over 1700-1800 entries for one
+#: or two works and over 2000 for 16 or more; so fig1's and fig2's fixed
+#: rows (about 1000 entries) take the one pass, and a column of works or a
+#: :data:`HARD_CAP` span keeps two.
+_SINGLE_PASS_ENTRIES = 2**11
+
 #: ln(k!) for k = 0..size-1; grown on demand by :func:`_log_factorials`.
 _LOG_FACTORIAL = np.zeros(0)
+
+#: ln(m + 1/2) for m = 0..size-1; grown on demand by :func:`_log_halves`.
+_LOG_HALF = np.zeros(0)
 
 
 class TruncationError(RuntimeError):
@@ -245,10 +258,22 @@ def _log_factorials(top: int) -> np.ndarray:
     return _LOG_FACTORIAL[: top + 1]
 
 
-def _column_top(last, work, top, log_level) -> np.ndarray:
+def _log_halves(top: int) -> np.ndarray:
+    """Read-only ln(m + 1/2) for m = 0..top, from the module-level table;
+    each entry is numpy's log of the exact m + 1/2, whatever the size."""
+    global _LOG_HALF
+    if _LOG_HALF.size <= top:
+        table = np.log(np.arange(0.5, max(top + 1, 2 * _LOG_HALF.size)))
+        table.setflags(write=False)
+        _LOG_HALF = table
+    return _LOG_HALF[: top + 1]
+
+
+def _column_top(last, work, top, log_level, log_work=None) -> np.ndarray:
     """First column s in last..top past which Laguerre's bound on the mass
     of every row n <= last is at most ``exp(log_level)``, or ``top`` if
     there is none; elementwise over lasts, works and tops that broadcast.
+    ``log_work``, ``_log(work)``, may be passed where the caller has it.
 
     ``|L_n^(d)(w)| <= C(m, n) e^(w/2)`` (Szego; Abramowitz & Stegun
     22.14.13), d = m - n, gives ``ln p(n -> m) <= d ln w + ln m! - ln n!
@@ -257,14 +282,18 @@ def _column_top(last, work, top, log_level) -> np.ndarray:
     n <= last, and its ratio from m to m + 1, ``w (m + 1) / (d + 1)**2``,
     is below 1 and falls with m: the bound at m = s + 1 over one minus
     that ratio bounds the mass past s of every row, and only falls with
-    s from there on.  Whether a column passes is thus a step in s, found
-    in two vectorised passes: 64 evenly spaced columns of last..top
+    s from there on.  Whether a column passes is thus a step in s.  When
+    the broadcast block times the widest span holds at most
+    :data:`_SINGLE_PASS_ENTRIES` entries, one vectorised pass tries every
+    column of last..top; otherwise two do: 64 evenly spaced columns
     bracket the first that passes, and the columns of that bracket pick
-    it.
+    it.  A column's test is the same elementwise arithmetic either way,
+    so both find the same column.
     """
-    last, work, top, log_level = (np.asarray(a)[..., None]
-                                  for a in (last, work, top, log_level))
-    log_work = _log(work)
+    if log_work is None:
+        log_work = _log(work)
+    last, work, top, log_level, log_work = (
+        np.asarray(a)[..., None] for a in (last, work, top, log_level, log_work))
     log_factorial = _log_factorials(int(top.max()) + 1)
     log_last = log_factorial[last]
 
@@ -281,15 +310,20 @@ def _column_top(last, work, top, log_level) -> np.ndarray:
         return passes.argmax(axis=-1, keepdims=True)
 
     span = top - last
+    widest = int(span.max(initial=0)) + 1
+    if np.broadcast(span, work, log_level).size * widest <= _SINGLE_PASS_ENTRIES:
+        return (last + first_passing(np.minimum(last + np.arange(widest), top)))[..., 0]
     hi = last + span * first_passing(last + span * np.arange(64) // 63) // 63
     lo = np.maximum(hi - span // 63, last)
     columns = np.minimum(lo + np.arange(int((hi - lo).max(initial=0)) + 1), hi)
     return (lo + first_passing(columns))[..., 0]
 
 
-def _fill_block(first: int, works: np.ndarray, out: np.ndarray) -> None:
-    """Write p(n -> m) of work ``works[i]`` into ``out[i, n - first, m]``
-    for the rows n = first.. and columns m = 0.. that ``out`` spans.
+def _fill_block(first: int, works: np.ndarray, out: np.ndarray,
+                log_works: np.ndarray) -> None:
+    """Write p(n -> m) of work ``works[i]``, whose ``_log`` is
+    ``log_works[i]``, into ``out[i, n - first, m]`` for the rows n =
+    first.. and columns m = 0.. that ``out`` spans.
 
     One sweep over the arguments first..width - 1 for all works at once:
     step k adds ``2 ln|c_k|`` to row k from the diagonal on and, by
@@ -301,14 +335,16 @@ def _fill_block(first: int, works: np.ndarray, out: np.ndarray) -> None:
     rows, width = out.shape[1:]
     last = first + rows - 1
     driven = works > 0.0
-    works = np.where(driven, works, 1.0)
+    if not driven.all():
+        # swept as work 1, ln 1 = 0, then overwritten
+        works, log_works = np.where(driven, works, 1.0), np.where(driven, log_works, 0.0)
     n = np.arange(first, last + 1)[:, None]
     m = np.arange(width)
     log_factorial = _log_factorials(width - 1)
     # -work + (n+m) ln w - ln(max!) - ln(min!) + 2 ln|c|, in this order;
     # (argument, degree) order makes the square part exactly symmetric
     index = n + m
-    np.multiply(index, _log(works)[:, None, None], out=out)
+    np.multiply(index, log_works[:, None, None], out=out)
     out -= works[:, None, None]
     out -= log_factorial[np.maximum(n, m, out=index)]
     out -= log_factorial[np.minimum(n, m, out=index)]
@@ -345,7 +381,7 @@ def transition_block(first: int, last: int, work, top: int) -> np.ndarray:
     works = _check_work(work)
     stop = int(np.max(_column_top(last, works, top, _UNDERFLOW_LOG), initial=last))
     p = np.zeros((works.size, last - first + 1, top + 1))
-    _fill_block(first, works.reshape(-1), p[..., : stop + 1])
+    _fill_block(first, works.reshape(-1), p[..., : stop + 1], _log(works.reshape(-1)))
     return p.reshape(works.shape + p.shape[1:])
 
 
@@ -379,6 +415,47 @@ def _chunks(rows: list, widths: list):
         start = stop
 
 
+def _cap(first: int, last: int, top: int | None) -> int:
+    """The column that rows first..last may be swept to: a fixed ``top``,
+    which must reach ``last``, or :data:`HARD_CAP` for an adaptive cut."""
+    if top is None:
+        if HARD_CAP < last:
+            raise TruncationError(f"hard cap {HARD_CAP} is below level {last}")
+        return HARD_CAP
+    if not 0 <= first <= last <= _check_level("top", top):
+        raise ValueError(f"need 0 <= first <= last <= top, got {first}, {last}, {top}")
+    return top
+
+
+def _cut(first: int, p: np.ndarray, top: int | None, work: float, stacklevel: int):
+    """The lengths (None under a fixed cut) and captured masses of the rows
+    n = first.. of one work's ``p``, as :func:`_truncated_rows` yields
+    them, with its warning or error; the warning points ``stacklevel``
+    frames above the caller."""
+    if top is not None:
+        captured = p.sum(axis=1)
+        short = int(captured.argmin())
+        if 1.0 - captured[short] > MASS_DEFICIT_TOL:
+            warnings.warn(
+                f"row of level {first + short} keeps mass {captured[short]:.15f} "
+                f"at the fixed top {top} (work={work}); raise the top",
+                TruncationWarning,
+                stacklevel=stacklevel + 1,
+            )
+        return None, captured
+    target = 1.0 - TAIL_MASS
+    cumulative = np.cumsum(p, axis=1)
+    missed = cumulative[:, -1] < target
+    if missed.any():
+        short = int(missed.argmax())
+        raise TruncationError(
+            f"mass {cumulative[short, -1]:.15f} below target {target:.15f} "
+            f"at the hard cap {HARD_CAP} (level={first + short}, work={work})"
+        )
+    lengths = np.sum(cumulative < target, axis=1) + 1
+    return lengths, cumulative[np.arange(p.shape[0]), lengths - 1]
+
+
 def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
                     top: int | None, log_mass=_UNDERFLOW_LOG):
     """Rows first..lasts[i] out of each work ``works[i]``, cut at the level
@@ -386,8 +463,9 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
 
     Yields ``(p, lengths, captured)`` once per work, in order: ``p``
     holds the rows up to the last column the work's own sweep reaches,
-    each row cut at its length (under a fixed cut, ``top + 1``), with its
-    captured mass.  ``p`` is a view that the next item may overwrite.
+    each row cut at its length (None under a fixed cut: every row runs
+    to ``top``, and the entries past ``p`` are 0.0), with its captured
+    mass.  ``p`` is a view that the next item may overwrite.
     Consecutive works are swept together, in :func:`_chunks` of their own
     rows and swept columns; each work is judged on its own rows and
     columns only, so it yields what it would alone.  Under a fixed cut a
@@ -410,17 +488,10 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
     raises :class:`TruncationError`, with the mass it keeps.
     """
     lasts = np.asarray(lasts)
-    fixed = top is not None
-    if fixed:
-        if not 0 <= first <= lasts.min() <= lasts.max() <= _check_level("top", top):
-            raise ValueError(f"need 0 <= first <= last <= top, got {first}, "
-                             f"{lasts.max()}, {top}")
-        stops = _column_top(lasts, works, top, log_mass)
-    else:
-        if HARD_CAP < lasts.max():
-            raise TruncationError(f"hard cap {HARD_CAP} is below level {lasts.max()}")
-        stops = _column_top(lasts, works, HARD_CAP, _ABSORBED_LOG)
-    target = 1.0 - TAIL_MASS
+    cap = _cap(first, int(lasts.max()), top)
+    log_works = _log(works)
+    stops = _column_top(lasts, works, cap, _ABSORBED_LOG if top is None else log_mass,
+                        log_works)
     listed = works.tolist()
     rows, widths = (lasts - first + 1).tolist(), (stops + 1).tolist()
     chunks = list(_chunks(rows, widths))
@@ -429,58 +500,46 @@ def _truncated_rows(first: int, lasts: np.ndarray, works: np.ndarray,
     buffer = np.empty(max(math.prod(shape) for _, shape in chunks))
     for chunk, shape in chunks:
         block = buffer[: math.prod(shape)].reshape(shape)
-        _fill_block(first, works[chunk], block)
+        _fill_block(first, works[chunk], block, log_works[chunk])
         for i, p in enumerate(block, chunk.start):
             p = p[: rows[i], : widths[i]]
-            if fixed:
-                captured = p.sum(axis=1)
-                short = int(captured.argmin())
-                if 1.0 - captured[short] > MASS_DEFICIT_TOL:
-                    warnings.warn(
-                        f"row of level {first + short} keeps mass "
-                        f"{captured[short]:.15f} at the fixed top {top} "
-                        f"(work={listed[i]}); raise the top",
-                        TruncationWarning,
-                        stacklevel=3,
-                    )
-                yield p, np.full(rows[i], top + 1), captured
-                continue
-            cumulative = np.cumsum(p, axis=1)
-            missed = cumulative[:, -1] < target
-            if missed.any():
-                short = int(missed.argmax())
-                raise TruncationError(
-                    f"mass {cumulative[short, -1]:.15f} below target {target:.15f} "
-                    f"at the hard cap {HARD_CAP} (level={first + short}, "
-                    f"work={listed[i]})"
-                )
-            lengths = np.sum(cumulative < target, axis=1) + 1
-            yield p, lengths, cumulative[np.arange(rows[i]), lengths - 1]
+            yield (p, *_cut(first, p, top, listed[i], 3))
 
 
-def _gains(first: int, p: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _gains(first: int, p: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
     """Entropy gain of each row n = first.. of ``p``, cut at its length:
     ``sum_m p(n -> m) ln((m + 1/2)/(n + 1/2))``, where an entry past the
-    row's length, which its cut sum leaves out, adds ``-p ln(n + 1/2)``."""
+    row's length, which its cut sum leaves out, adds ``-p ln(n + 1/2)``;
+    with no lengths (a fixed cut), every entry of ``p`` is inside."""
     rows, width = p.shape
-    halves = np.arange(0.5, width)  # m + 1/2, exactly
-    log_levels = np.log(halves)
-    # for integers, m + 1/2 < length exactly where m < length
-    ratios = np.where(halves < lengths[:, None], log_levels, 0.0)
-    ratios -= log_levels[first : first + rows, None]
+    log_levels = _log_halves(width - 1)
+    inside = log_levels if lengths is None else np.where(
+        np.arange(width) < lengths[:, None], log_levels, 0.0)
+    ratios = inside - log_levels[first : first + rows, None]
     ratios *= p
     return ratios.sum(axis=1)
 
 
 def transition_row(level: int, work: float, top: int | None = None) -> TransitionRow:
     """Row of transition probabilities out of ``level`` for one work, cut
-    at ``top``, or adaptively where it is None, with the level's gain."""
+    at ``top``, or adaptively where it is None, with the level's gain.
+
+    The row is the one-row block :func:`_truncated_rows` would yield,
+    swept alone and judged by the same :func:`_cut`; a fixed row is
+    padded with 0.0 to ``top + 1`` entries."""
     level, works = _check_level("level", level), _check_work(work).reshape(-1)
     if works.size != 1:
         raise ValueError(f"work must be a single value, got {works.size} values")
-    [(p, lengths, captured)] = _truncated_rows(level, np.array([level]), works, top)
-    row = np.zeros(lengths[0])
-    row[: p.shape[1]] = p[0, : row.size]
+    log_works = _log(works)
+    log_mass = _ABSORBED_LOG if top is None else _UNDERFLOW_LOG
+    stop = int(_column_top(level, works, _cap(level, level, top), log_mass, log_works)[0])
+    # a fixed row is swept into the head of its padded row
+    row = np.zeros(stop + 1 if top is None else top + 1)
+    p = row[None, : stop + 1]
+    _fill_block(level, works, p[None], log_works)
+    lengths, captured = _cut(level, p, top, works.item(), 2)
+    if lengths is not None:
+        row = row[: lengths[0]]
     return TransitionRow(level, works.item(), row, float(captured[0]),
                          float(_gains(level, p, lengths)[0]))
 
@@ -615,15 +674,17 @@ def _thermal_sums(inv_temperature: float, works: np.ndarray, level_cutoff: int,
     # and from a level_cutoff above the cut it finds none
     may_cut = _column_top(level_cutoff, works, max(cut, level_cutoff) + 1, log_level) <= cut
     levels = np.arange(level_cutoff + 1)
-    q = math.exp(-inv_temperature)
-    weights = (1.0 - q) * np.exp(-inv_temperature * levels)
+    # 1 - q, q = e^-beta; 1.0 - math.exp(-beta) would lose digits at small beta
+    gap = -math.expm1(-inv_temperature)
+    with np.errstate(over="ignore"):  # beta * level past the largest double
+        weights = gap * np.exp(-inv_temperature * levels)
     caps = np.maximum(np.log(2.0 * levels + 1.0),
                       np.log1p(works[:, None] / (levels + 0.5)))
     # tails[:, k]: bound on the weighted gains of the levels after k
     tails = np.zeros_like(caps)
     tails[:, :-1] = np.cumsum((weights * caps)[:, :0:-1], axis=1)[:, ::-1]
     # every partial sum is at least (1-q)^2 g_0 >= (1-q)^2 (1 - e^-w) ln 3
-    floor = (1.0 - q) ** 2 * -np.expm1(-works) * math.log(3.0)
+    floor = gap**2 * -np.expm1(-works) * math.log(3.0)
     # how far a fixed row is swept: at most 2**-56 floor of gain left out
     with np.errstate(divide="ignore"):
         log_mass = np.maximum(_UNDERFLOW_LOG,

@@ -346,6 +346,25 @@ class TestCanonicalEntropyChange:
                 EULER_GAMMA + math.log(s) + exp1(s), abs=1e-12
             )
 
+    def test_matches_the_exponential_integral_at_every_scale(self):
+        # quadrature up to s = 745, the closed form gamma + ln s past it,
+        # where E1(s) < exp(-s) underflows and the rule cannot resolve
+        # exp(-s x); s = 6.96e12 is fig3 --beta 1e12 at duration 1
+        grid = np.r_[np.logspace(-3, math.log10(1.7e308), 241),
+                     [744.0, 745.0, 746.0, 6.95664291704e12, 1.7e308]]
+        values = canonical_entropy_change(1.0, grid)
+        with mpmath.workdps(40):
+            for s, value in zip(grid.tolist(), values.tolist()):
+                exact = float(mpmath.euler + mpmath.log(s) + mpmath.e1(s))
+                assert abs(value - exact) <= 1e-13 * exact, s
+                assert canonical_entropy_change(1.0, s) == value, s
+
+    @pytest.mark.parametrize("beta, work", [(1e308, 10.0), (2.0, 1e308),
+                                            (1e300, np.array([1.0, 1e10]))])
+    def test_rejects_a_product_that_overflows(self, beta, work):
+        with pytest.raises(ValueError, match="overflows"):
+            canonical_entropy_change(beta, work)
+
     def test_positive_along_drive_family(self):
         for duration in np.arange(1, 121) * 0.25:
             work = work_half_sine(6.0, float(duration))

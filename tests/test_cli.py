@@ -164,6 +164,28 @@ class TestFig3:
         result = run(["fig3", "--beta", "0", "--output", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
 
+    def test_rejects_beta_whose_product_with_the_work_overflows(self, tmp_path):
+        out = tmp_path / "out.csv"
+        result = run(["fig3", "--beta", "1e308", "--output", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("Error:")]
+        assert len(errors) == 1 and "--beta" in errors[0] and "overflows" in errors[0]
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta, expected", [("1e12", "30.1479337993"),
+                                                ("1e300", "693.292440582")])
+    def test_large_beta_writes_the_closed_form(self, tmp_path, beta, expected):
+        # gamma + ln s + E1(s) at s = beta * 6.95664291704, where E1 is 0
+        out = tmp_path / "out.csv"
+        result = run(["fig3", "--beta", beta, "--t-min", "1", "--t-max", "1",
+                      "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        [row] = read_csv(out)[2]
+        assert row[2] == expected
+
 
 @pytest.mark.filterwarnings("error::qentropy.quantum.TruncationWarning")
 @pytest.mark.parametrize("mode, m_trunc", [("fixed", "1000"), ("adaptive", "0")])

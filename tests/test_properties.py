@@ -116,18 +116,36 @@ def column_top_by_scan(last, work, top, log_level):
     return int(s[passes.argmax()]) if passes.any() else top
 
 
-@given(st.lists(st.tuples(st.integers(0, 300), EDGE_WORKS), min_size=1, max_size=4),
-       st.integers(0, quantum.HARD_CAP),
-       st.one_of(st.sampled_from([quantum._UNDERFLOW_LOG, quantum._ABSORBED_LOG,
-                                  math.log(quantum.MASS_DEFICIT_TOL), math.log(1e-12)]),
-                 st.floats(min_value=-900.0, max_value=0.0)))
-def test_column_top_equals_a_linear_scan(cases, extra, log_level):
+LOG_LEVELS = st.one_of(st.sampled_from([quantum._UNDERFLOW_LOG, quantum._ABSORBED_LOG,
+                                         math.log(quantum.MASS_DEFICIT_TOL),
+                                         math.log(1e-12)]),
+                        st.floats(min_value=-900.0, max_value=0.0))
+CASES = st.tuples(st.integers(0, 300), EDGE_WORKS)
+
+
+@given(st.one_of(
+    st.tuples(st.lists(CASES, min_size=1, max_size=4), st.integers(0, quantum.HARD_CAP)),
+    # one work and a span up to about 2000: each side of the one-pass limit
+    st.tuples(st.lists(CASES, min_size=1, max_size=1), st.integers(0, 2100)),
+    # many works, or a HARD_CAP span: two passes
+    st.tuples(st.lists(CASES, min_size=2, max_size=8),
+              st.one_of(st.integers(0, 2100), st.just(quantum.HARD_CAP)))),
+    LOG_LEVELS)
+def test_column_top_equals_a_linear_scan(block, log_level):
+    cases, extra = block
     lasts, works = (np.array(column) for column in zip(*cases))
     top = min(int(lasts.max()) + extra, quantum.HARD_CAP)
+    scanned = [column_top_by_scan(last, work, top, log_level)
+               for last, work in zip(lasts.tolist(), works.tolist())]
     found = quantum._column_top(lasts, works, top, log_level)
     assert found.shape == lasts.shape
-    for last, work, column in zip(lasts.tolist(), works.tolist(), found.tolist()):
-        assert column == column_top_by_scan(last, work, top, log_level), (last, work)
+    assert found.tolist() == scanned
+    # each search forced on the same block: two passes, then one
+    for entries in (0, 2**62):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quantum, "_SINGLE_PASS_ENTRIES", entries)
+            found = quantum._column_top(lasts, works, top, log_level, quantum._log(works))
+        assert found.tolist() == scanned, entries
 
 
 @given(st.integers(0, 20), st.integers(0, 30), EDGE_WORKS)
@@ -175,13 +193,13 @@ def test_thermal_cut_matches_the_full_sum(beta, work, cutoff, adaptive):
         assert total.last_level < cutoff
         row_gains = gains(total.last_level)
     levels = np.arange(cutoff + 1)
-    weights = (1.0 - math.exp(-beta)) * np.exp(-beta * levels)
+    weights = -math.expm1(-beta) * np.exp(-beta * levels)
     terms = weights[: row_gains.size] * row_gains
     full = terms.sum()
     rounding = 4 * 2.0**-52 * np.abs(terms).sum()
     # the theorem's floor on every partial sum; at tiny work the adaptive
     # rows' own error can exceed half of it, and such a sum raises
-    floor = (1.0 - math.exp(-beta)) ** 2 * -math.expm1(-work) * math.log(3.0)
+    floor = math.expm1(-beta) ** 2 * -math.expm1(-work) * math.log(3.0)
     try:
         total = quantum.canonical_sum(beta, work, cutoff, top)
     except quantum.TruncationError:
@@ -226,8 +244,7 @@ def test_fixed_thermal_rows_end_where_the_floor_cannot_see(beta, work, cutoff, e
         patch.setattr(quantum, "level_gains", to_the_underflow)
         (swept, swept_last_level), swept_warned = thermal_sum()
     assert calls
-    q = math.exp(-beta)
-    floor = (1.0 - q) ** 2 * -math.expm1(-work) * math.log(3.0)
+    floor = math.expm1(-beta) ** 2 * -math.expm1(-work) * math.log(3.0)
     assert abs(value - swept) <= 2.0**-56 * floor + 4 * np.spacing(abs(swept))
     assert value >= 0.5 * floor
     assert last_level == swept_last_level

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import re
 import warnings
@@ -324,7 +325,7 @@ class TestTransitionRow:
             canonical_sum(2.0, 1.0, 30, top=20)
 
     def test_hard_cap_below_level_raises(self):
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError, match="hard cap 5000 is below level 5001"):
             transition_row(quantum.HARD_CAP + 1, 1.0)
 
     def test_one_work_is_stored_as_a_float(self):
@@ -493,6 +494,19 @@ class TestFixedCutMassWarning:
             row = transition_row(40, 10.0, top=45)
         assert 1.0 - row.captured_mass > quantum.MASS_DEFICIT_TOL
 
+    def test_warns_once_from_the_callers_line(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno
+            transition_row(40, 10.0, top=45)
+            level_gains([40], [10.0], 45)
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line + 1),
+                                                             (__file__, line + 2)]
+        for warning in caught:
+            assert warning.category is quantum.TruncationWarning
+            assert re.fullmatch(r"row of level 40 keeps mass 0\.\d{15} at the fixed top "
+                                r"45 \(work=10\.0\); raise the top", str(warning.message))
+
     def test_block_names_its_worst_row(self):
         with pytest.warns(quantum.TruncationWarning, match="level 30 "):
             canonical_sum(2.0, 10.0, 30, top=60)
@@ -542,6 +556,19 @@ class TestCanonical:
         first_order = work * (weights @ coefficients)
         assert value == pytest.approx(first_order, rel=1e-9, abs=0.0)
 
+    def test_weights_keep_their_digits_at_small_beta(self):
+        # every weight carries 1 - e^-beta; 1.0 - math.exp(-1e-8) errs by
+        # 1.1e-9 relative.  Below work 30 every level gains, so the sum of
+        # exact weights times the same gains is well conditioned
+        beta, work, cutoff = 1e-8, 30.0, 10
+        total = canonical_sum(beta, work, cutoff, top=1000)
+        [gains] = level_gains([cutoff], [work], 1000)
+        assert total.last_level == cutoff and (gains > 0.0).all()
+        with mpmath.workdps(40):
+            exact = float(mpmath.fsum(-mpmath.expm1(-beta) * mpmath.exp(-beta * k) * g
+                                      for k, g in enumerate(gains.tolist())))
+        assert total.value == pytest.approx(exact, rel=1e-14, abs=0.0)
+
     def test_tail_bound_dominates_truncation_error(self):
         value_30 = canonical_sum(0.5, 5.0, 30).value
         value_100 = canonical_sum(0.5, 5.0, 100).value
@@ -569,7 +596,7 @@ class TestCanonical:
 
 def thermal_floor(beta, work):
     """The theorem's floor (1-q)^2 (1 - e^-w) ln 3 on every partial sum."""
-    return (1.0 - math.exp(-beta)) ** 2 * -math.expm1(-work) * math.log(3.0)
+    return math.expm1(-beta) ** 2 * -math.expm1(-work) * math.log(3.0)
 
 
 #: (beta, work, cutoff) whose adaptive sums fall below half the floor.
@@ -580,7 +607,7 @@ def thermal_terms(beta, work, cutoff, top):
     """Weighted gains of levels 0..cutoff, every level swept in one block."""
     levels = np.arange(cutoff + 1)
     [gains] = level_gains([cutoff], [work], top)
-    return (1.0 - math.exp(-beta)) * np.exp(-beta * levels) * gains
+    return -math.expm1(-beta) * np.exp(-beta * levels) * gains
 
 
 def first_level_meeting_the_rule(beta, work, terms):
@@ -589,7 +616,7 @@ def first_level_meeting_the_rule(beta, work, terms):
     partial sum; the last level if none is."""
     levels = np.arange(terms.size)
     caps = np.maximum(np.log(2.0 * levels + 1.0), np.log1p(work / (levels + 0.5)))
-    bounds = (1.0 - math.exp(-beta)) * np.exp(-beta * levels) * caps
+    bounds = -math.expm1(-beta) * np.exp(-beta * levels) * caps
     tails = [bounds[k + 1 :].sum() for k in levels]
     met = tails <= 2.0**-54 * np.abs(np.cumsum(terms))
     return int(met.argmax()) if met.any() else terms.size - 1
@@ -698,9 +725,9 @@ class TestThermalRowCut:
         swept = []
         fill_block = quantum._fill_block
 
-        def recorded(first, works, out):
+        def recorded(first, works, out, *rest):
             swept.append((first + out.shape[1] - 1, np.copy(works), out.shape[2] - 1))
-            return fill_block(first, works, out)
+            return fill_block(first, works, out, *rest)
 
         monkeypatch.setattr(quantum, "_fill_block", recorded)
         canonical_sum(2.0, TestUnderflowTop.FIG3_WORKS, 100, top=1000)
@@ -769,9 +796,9 @@ class TestColumn:
         shapes = []
         fill_block = quantum._fill_block
 
-        def recorded(first, works, out):
+        def recorded(first, works, out, *rest):
             shapes.append(out.shape)
-            return fill_block(first, works, out)
+            return fill_block(first, works, out, *rest)
 
         monkeypatch.setattr(quantum, "_fill_block", recorded)
         canonical_sum(beta, self.WORKS, 100, top)
