@@ -9,8 +9,9 @@ verify        run the invariant suite; exit 0 only if everything passes
 theorem-demo  walk one random instance of the entropy-increase theorem
 
 Each option is declared once, in :data:`_COMMANDS`, with its range in its
-type.  Bad input exits 2 with one ``Error:`` line before anything runs: so do a
-fixed cut (``--m-trunc`` > 0) below the mean final level, the highest initial
+type, and :func:`main` reads ``--flag value`` and ``--flag=value`` from that
+table.  Bad input exits 2 with one ``Error:`` line before anything runs: so do
+a fixed cut (``--m-trunc`` > 0) below the mean final level, the highest initial
 level plus the largest work, a grid above :data:`MAX_DURATIONS` durations and an
 ``--output`` that cannot be written.  CSV files are UTF-8 with ``#``-prefixed
 header comments naming the command, every option but ``--output`` and, for an
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 import math
 import os
-import re
 import sys
-from argparse import ArgumentParser, ArgumentTypeError
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,6 +38,10 @@ MAX_DEMO_DIM = 2048
 MAX_TRIALS = 1_000_000
 
 
+class _Invalid(Exception):
+    """A value that an option's type or a command's check rejects."""
+
+
 def _number(kind, low=None, high=None, open_low=False, open_high=False):
     """An option type: a finite ``kind`` (int or float) within the bounds given,
     each open on request; its name is its range text, which ``--help`` shows."""
@@ -45,12 +49,12 @@ def _number(kind, low=None, high=None, open_low=False, open_high=False):
         try:
             value = kind(text)
         except ValueError:
-            raise ArgumentTypeError(f"{text!r} is not a valid {kind.__name__}") from None
+            raise _Invalid(f"{text!r} is not a valid {kind.__name__}") from None
         if kind is float and not math.isfinite(value):
-            raise ArgumentTypeError(f"{value!r} is not a finite number")
+            raise _Invalid(f"{value!r} is not a finite number")
         if ((low is not None and (value <= low if open_low else value < low))
                 or (high is not None and (value >= high if open_high else value > high))):
-            raise ArgumentTypeError(f"{value} is not in the range {convert.__name__}.")
+            raise _Invalid(f"{value} is not in the range {convert.__name__}.")
         return value
 
     below, above = ("<" if open_low else "<="), ("<" if open_high else "<=")
@@ -65,24 +69,26 @@ def _path(text: str) -> str:
     a writable directory that exists."""
     target = text if os.path.exists(text) else os.path.dirname(text) or "."
     if not text or os.path.isdir(text) or not os.access(target, os.W_OK):
-        raise ArgumentTypeError(f"cannot write the file {text!r}")
+        raise _Invalid(f"cannot write the file {text!r}")
     return text
 
 
 _path.__name__ = "path"
 
 
-class _Parser(ArgumentParser):
-    """Rejects bad input in one ``Error:`` line, exit 2; a negative number in any
-    form ``float`` reads (``-1e1``, ``-inf``) is a value, not an option."""
+def _fail(message: str, code: int = 2) -> None:
+    """Print one ``Error:`` line on stderr and exit ``code``."""
+    print(f"Error: {message}", file=sys.stderr)
+    sys.exit(code)
 
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
-        self.add_argument("--help", action="help", help="Show this message and exit.")
 
-    def error(self, message):
-        self.exit(2, f"Error: {message}\n")
+def _help(prog: str, doc: str, rows) -> None:
+    """Print the usage of ``prog``, ``doc`` and a line per ``(name, text)``; exit 0."""
+    rows = [("--help", "Show this message and exit."), *rows]
+    column = 4 + max(len(name) for name, _ in rows)
+    print(f"usage: {prog} [OPTION ...]\n\n{doc or ''}\n")  # python -OO drops docstrings
+    print("\n".join(f"  {name:<{column - 2}}{text or ''}" for name, text in rows))
+    sys.exit(0)
 
 
 def _fmt(value) -> str:
@@ -96,10 +102,9 @@ def _write_csv(args, notes: list[str], columns: list[str], rows) -> None:
     if not args.m_trunc:
         notes = [f"adaptive truncation: each row keeps all but quantum.TAIL_MASS = "
                  f"{quantum.TAIL_MASS:g} of its mass", *notes]
-    lines = [f"# qentropy {args.command}", f"# parameters: {params}"]
-    lines += [f"# note: {note}" for note in notes]
-    lines.append(",".join(columns))
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    lines = [f"# qentropy {args.command}", f"# parameters: {params}",
+             *(f"# note: {note}" for note in notes), ",".join(columns),
+             *(",".join(map(_fmt, row)) for row in rows)]
     with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {args.output}")
@@ -111,11 +116,11 @@ def _truncation(args, level: int, work: float) -> int | None:
     final level ``level + work``."""
     top = args.m_trunc or quantum.HARD_CAP
     if level > top:
-        raise ArgumentTypeError(f"initial level {level} is above the top level {top} "
-                                f"that --m-trunc {args.m_trunc} allows")
+        raise _Invalid(f"initial level {level} is above the top level {top} "
+                       f"that --m-trunc {args.m_trunc} allows")
     if args.m_trunc and level + work > args.m_trunc:
-        raise ArgumentTypeError(f"mean final level {level} + work {work:g} is above "
-                                f"--m-trunc {args.m_trunc}; the rows would lose their mass")
+        raise _Invalid(f"mean final level {level} + work {work:g} is above "
+                       f"--m-trunc {args.m_trunc}; the rows would lose their mass")
     return args.m_trunc or None
 
 
@@ -124,16 +129,16 @@ def _scan(args, level: int):
     adaptive), checked at ``level``, the highest initial level, and the
     largest work."""
     if args.t_max < args.t_min:
-        raise ArgumentTypeError("--t-max must be >= --t-min")
+        raise _Invalid("--t-max must be >= --t-min")
     steps = (args.t_max - args.t_min) / args.t_step + 1e-9
     if not steps < MAX_DURATIONS:
-        raise ArgumentTypeError(f"--t-step {args.t_step:g} puts more than "
-                                f"{MAX_DURATIONS} durations between --t-min and --t-max")
+        raise _Invalid(f"--t-step {args.t_step:g} puts more than "
+                       f"{MAX_DURATIONS} durations between --t-min and --t-max")
     durations = args.t_min + args.t_step * np.arange(int(steps) + 1)
     with np.errstate(over="ignore"):
         works = classical.work_half_sine(args.amplitude, durations)
     if not np.isfinite(works).all():
-        raise ArgumentTypeError(f"--amplitude {args.amplitude:g} makes the work overflow")
+        raise _Invalid(f"--amplitude {args.amplitude:g} makes the work overflow")
     return durations, works, _truncation(args, level, float(works.max()))
 
 
@@ -172,7 +177,7 @@ def _fig3(args) -> None:
     try:
         changes = classical.canonical_entropy_change(args.beta, works)
     except ValueError as exc:  # beta * work overflows
-        raise ArgumentTypeError(f"--beta: {exc}") from None
+        raise _Invalid(f"--beta: {exc}") from None
     rows = list(zip(durations.tolist(), works.tolist(), changes.tolist(),
                     total.value.tolist()))
     tail = quantum.canonical_tail_bound(args.beta, float(works.max()), args.n_trunc)
@@ -221,8 +226,8 @@ def _theorem_demo(args) -> None:
         print(f"entropy change direct={report.delta_direct:+.12e} "
               f"by-parts={report.delta_by_parts:+.12e}")
         gap = f"smallest cumulative gap {report.min_cumulative_gap:+.3e}"
-        print(f"guaranteed non-negative; {gap}" if p.is_decreasing else
-              f"ordering hypothesis not met: positivity reported, not asserted ({gap})")
+        print(f"guaranteed non-negative up to rounding, >= -1e-12; {gap}" if p.is_decreasing
+              else f"ordering hypothesis not met: positivity reported, not asserted ({gap})")
 
 
 def _figure(name: str, *options) -> list[tuple]:
@@ -271,21 +276,31 @@ def main(args=None, prog_name: str = "qentropy") -> None:
     and a ``TruncationError`` exits 1, each with one ``Error:`` line.  Output
     cut short by a closed pipe (``| head``) exits 1 silently."""
     args = sys.argv[1:] if args is None else list(args)
+    if args[:1] == ["--help"]:
+        _help(f"{prog_name} COMMAND", "Driven-oscillator entropy: figure data and checks.",
+              [(name, run.__doc__) for name, (run, _) in _COMMANDS.items()])
     if not args or args[0] not in _COMMANDS:
-        # --help, or no command or an unknown one: list or reject, and exit
-        listing = _Parser(prog=prog_name, description="Entropy growth of the driven "
-                          "oscillator: figure data and checks.")
-        commands = listing.add_subparsers(metavar="COMMAND", required=True)
-        for name, (run, _) in _COMMANDS.items():
-            commands.add_parser(name, help=run.__doc__)
-        listing.parse_args(args[:1])
+        _fail(f"choose a COMMAND from {', '.join(_COMMANDS)}, or --help")
     run, options = _COMMANDS[args[0]]
-    parser = _Parser(prog=f"{prog_name} {args[0]}", description=run.__doc__)
-    parser.set_defaults(command=args[0])
-    for flag, kind, default, text in options:
-        parser.add_argument(flag, type=kind, default=default,
-                            help=f"{text} [default: %(default)s; %(type)s]")
-    parsed = parser.parse_args(args[1:])
+    values = {flag: default for flag, _, default, _ in options}
+    for word in (words := iter(args[1:])):
+        if word == "--help":
+            _help(f"{prog_name} {args[0]}", run.__doc__,
+                  [(f"{flag} {flag[2:].upper().replace('-', '_')}",
+                    f"{text} [default: {default}; {kind.__name__}]")
+                   for flag, kind, default, text in options])
+        flag, joined, value = word.partition("=")
+        if flag not in values:
+            _fail(f"unrecognized argument: {word}")
+        values[flag] = value if joined else next(words, "--")  # the last one wins
+        if values[flag].startswith("--") and not joined:
+            _fail(f"argument {flag}: expected one argument")
+    parsed = SimpleNamespace(command=args[0])
+    for flag, kind, _, _ in options:  # each default passes its type, as given text does
+        try:
+            setattr(parsed, flag[2:].replace("-", "_"), kind(values[flag]))
+        except _Invalid as exc:
+            _fail(f"argument {flag}: {exc}")
     try:
         run(parsed)
         sys.stdout.flush()
@@ -293,10 +308,10 @@ def main(args=None, prog_name: str = "qentropy") -> None:
         # the flush at exit would raise again: send what is left to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
-    except ArgumentTypeError as exc:
-        parser.exit(2, f"Error: Invalid value: {exc}\n")
+    except _Invalid as exc:
+        _fail(f"Invalid value: {exc}")
     except quantum.TruncationError as exc:
-        parser.exit(1, f"Error: {exc}\n")
+        _fail(str(exc), 1)
 
 
 if __name__ == "__main__":

@@ -182,17 +182,21 @@ def charlier_consistency() -> CheckResult:
     for work in (0.5, 2.0, 10.0):
         block = quantum.transition_block(0, 20, work, 20)
         for n in range(21):
-            for m in range(21):
-                direct = math.exp(
-                    -work
-                    + (m + n) * math.log(work)
-                    - math.lgamma(m + 1)
-                    - math.lgamma(n + 1)
-                ) * quantum.charlier_direct(m, n, work) ** 2
-                stable = float(block[n, m])
-                scale = max(direct, stable)
-                if scale > 1e-25:
-                    worst = max(worst, abs(direct - stable) / scale)
+            for m in range(n + 1):
+                # the exact sum is symmetric in m and n bit for bit; its float
+                # prefactor is not, so each order keeps its own
+                square = quantum.charlier_direct(m, n, work) ** 2
+                for row, col in {(n, m), (m, n)}:
+                    direct = math.exp(
+                        -work
+                        + (col + row) * math.log(work)
+                        - math.lgamma(col + 1)
+                        - math.lgamma(row + 1)
+                    ) * square
+                    stable = float(block[row, col])
+                    scale = max(direct, stable)
+                    if scale > 1e-25:
+                        worst = max(worst, abs(direct - stable) / scale)
     return CheckResult("charlier_consistency", worst <= 1e-10, worst, 1e-10)
 
 

@@ -351,6 +351,7 @@ def test_rejects_fixed_cut_below_the_mean_level(tmp_path, args):
     ["fig1", "--n-trunc", "3"],
     ["fig2", "--t-max", "1"],
     ["fig3", "--t-max", "1", "--n-trunc", "5"],
+    ["fig1", "--n-trunc", "5", "--n-trunc", "3"],  # a repeated option keeps its last value
 ])
 def test_parameters_header_lists_the_declared_options(tmp_path, args):
     out = tmp_path / "out.csv"
@@ -413,13 +414,15 @@ def test_figure_commands_load_only_what_they_run(tmp_path):
     # figures need the standard library, numpy and the package alone
     script = (
         "import sys\n"
-        "bare = {m.split('.')[0] for m in sys.modules}\n"
+        "start = set(sys.modules)\n"
+        "bare = {m.split('.')[0] for m in start}\n"
         "import qentropy.cli\n"
         "for args in (['fig1', '--n-trunc', '3'], ['fig2', '--t-max', '1'],\n"
         "             ['fig3', '--t-max', '1', '--n-trunc', '5']):\n"
         "    qentropy.cli.main(args=args)\n"
         "print(sorted({m.split('.')[0] for m in sys.modules} - bare\n"
         "             - set(sys.stdlib_module_names)))\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - start)))\n"
         "print(sorted(m for m in sys.modules if m.startswith('qentropy.')))\n"
         "print('fractions' in sys.modules)\n"
         "from qentropy import ProbabilityVector, verify\n"
@@ -431,8 +434,9 @@ def test_figure_commands_load_only_what_they_run(tmp_path):
         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    third_party, loaded, fractions, names = result.stdout.splitlines()[-4:]
+    third_party, parsers, loaded, fractions, names = result.stdout.splitlines()[-5:]
     assert third_party == str(["numpy", "qentropy"])
+    assert parsers == "[]"  # options are read from cli._COMMANDS, not by argparse
     assert loaded == str(["qentropy.classical", "qentropy.cli", "qentropy.quadrature",
                           "qentropy.quantum"])
     assert fractions == "False"  # charlier_direct rounds with int division
@@ -463,20 +467,26 @@ def test_rejects_negative_seed(command):
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty",
+                                   "default-is-a-directory"])
 def test_rejects_unusable_output_before_computing(tmp_path, monkeypatch, where):
     monkeypatch.chdir(tmp_path)
-    output = {"missing-directory": str(tmp_path / "missing" / "out.csv"),
-              "directory": str(tmp_path), "empty": ""}[where]
-    result = run(["fig1", "--output", output])
+    monkeypatch.setattr(quantum, "level_gains", lambda *args: pytest.fail("computed"))
+    if where == "default-is-a-directory":  # the default --output passes its type too
+        (tmp_path / "fig1.csv").mkdir()
+    output = {"missing-directory": ["--output", str(tmp_path / "missing" / "out.csv")],
+              "directory": ["--output", str(tmp_path)], "empty": ["--output", ""],
+              "default-is-a-directory": []}[where]
+    before = list(tmp_path.rglob("*"))
+    result = run(["fig1", *output])
     assert result.exit_code == 2
     assert result.output.startswith("Error: ") and result.output.count("\n") == 1
     assert "--output" in result.output
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.rglob("*")) == before
 
 
 def test_negative_number_in_any_float_form_is_a_value(tmp_path):
-    # argparse alone reads -1e1 as an option string
+    # a word that follows an option is its value, even one that starts with "-"
     spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
     assert run(["fig2", "--amplitude", "-1e1", "--t-max", "1",
                 "--output", str(spaced)]).exit_code == 0
@@ -491,8 +501,11 @@ def test_negative_number_in_any_float_form_is_a_value(tmp_path):
     ["fig4"],
     [],
     ["fig1", "--tail-mass", "1e-9"],
+    ["fig1", "--work"],
+    ["fig1", "3"],
+    ["fig1", "-h"],
 ], ids=["misspelt-option", "abbreviated-option", "unknown-command", "no-command",
-        "retired-tail-mass"])
+        "retired-tail-mass", "missing-value", "stray-positional", "short-help"])
 def test_rejects_unknown_input_in_one_line(args):
     result = run(args)
     assert result.exit_code == 2
@@ -569,6 +582,18 @@ class TestTheoremDemo:
                 assert float(parts["direct"]) == pytest.approx(
                     float(parts["by-parts"]), abs=1e-12
                 )
+
+    def test_states_the_rounding_allowance_of_a_negative_gap(self):
+        # the last cumulative gap is sum p - sum p' = 0 up to rounding, so a
+        # decreasing start's smallest gap can sit a few ulps below zero
+        result = run(["theorem-demo", "--seed", "5"])
+        assert result.exit_code == 0
+        [line] = [line for line in result.output.splitlines()
+                  if line.startswith("guaranteed")]
+        prefix = ("guaranteed non-negative up to rounding, >= -1e-12; "
+                  "smallest cumulative gap ")
+        assert line.startswith(prefix)
+        assert -1e-12 <= float(line[len(prefix):]) < 0  # -1.527e-16 here
 
     def test_rejects_small_dim(self):
         assert run(["theorem-demo", "--dim", "1"]).exit_code == 2
